@@ -1,6 +1,15 @@
 """Continuous-variable distributed quadrature-sensing toolkit."""
 
+import os as _os
+
 __version__ = "0.1.0"
+
+# Honor the thread-count override before numpy initializes its BLAS pools;
+# this module runs before any submodule imports numpy.
+_threads = _os.environ.get("CVSENSE_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
 
 from .gaussian import (  # noqa: F401
     GaussianState,

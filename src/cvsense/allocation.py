@@ -1,7 +1,8 @@
 """Weighted-sum sensing over heterogeneous networks.
 
-Closed-form entangled performance, numerical photon allocation for the
-product scheme (KKT/water-filling via nested bisection), and weight
+Closed-form entangled performance, photon allocation for the product
+scheme (water-filling: the per-node KKT condition inverts in closed form,
+leaving one monotone bisection on the Lagrange level), and weight
 optimization for both schemes.
 """
 
@@ -10,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 WEIGHT_SUM_TOL = 1e-12
 KKT_TOL = 1e-8
 MAX_BISECTIONS = 200
 MAX_ALTERNATIONS = 500
-ALLOC_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,13 @@ class AllocationResult:
 
 
 def _inv_scale(n):
-    """1/(sqrt(N+1)+sqrt(N))^2 = (sqrt(N+1)-sqrt(N))^2, the squeezed-noise factor."""
+    """1/(sqrt(N+1)+sqrt(N))^2, the squeezed-noise factor; no cancellation at large N."""
     n = np.asarray(n, dtype=float)
-    return (np.sqrt(n + 1.0) - np.sqrt(n)) ** 2
+    return 1.0 / (np.sqrt(n + 1.0) + np.sqrt(n)) ** 2
 
 
 def _inv_scale_deriv(n):
-    """d/dN of _inv_scale; tends to -inf as N -> 0+."""
+    """d/dN of _inv_scale, -_inv_scale(N)/sqrt(N(N+1)); tends to -inf as N -> 0+."""
     n = np.asarray(n, dtype=float)
     return -_inv_scale(n) / np.sqrt(n * (n + 1.0))
 
@@ -82,12 +81,25 @@ def product_objective(net, photons):
     return float(0.5 * np.sqrt(net.weights**2 @ terms))
 
 
+def _photons_at_level(gain, level):
+    """Closed-form inverse of the stationarity condition -gain * kappa'(n) = level.
+
+    With s = sqrt(n+1) - sqrt(n), the marginal gain is 4 gain s^4/(1 - s^4),
+    so s^4 = level/(4 gain + level) and sqrt(n) = (1 - s^2)/(2 s); 1 - s^2 is
+    formed as (1 - s^4)/(1 + s^2) so that it does not cancel as s -> 1.
+    """
+    s2 = np.sqrt(level / (4.0 * gain + level))
+    root_n = (4.0 * gain / (4.0 * gain + level)) / (1.0 + s2) / (2.0 * np.sqrt(s2))
+    return root_n**2
+
+
 def allocate_photons_product(net):
     """Optimal photon split for the product scheme by water-filling.
 
     Every node with w_m^2 eta_m > 0 receives photons (the marginal gain
-    diverges at zero); the Lagrange level is found by bisection with a
-    per-node monotone inversion.
+    diverges at zero). Each node's share at a Lagrange level is closed form,
+    capped at the budget, and the level is found by one vectorized
+    bisection on the total.
     """
     if net.total_photons <= 0:
         raise ValueError("photon budget must be positive")
@@ -99,47 +111,35 @@ def allocate_photons_product(net):
         return AllocationResult(photons, product_objective(net, photons), 0.0, 0)
 
     budget = net.total_photons
-    idx = np.flatnonzero(active)
+    gain = gain[active]
 
-    def marginal(k, n):
-        # -d/dN of the k-th objective term; strictly decreasing in N.
-        return -gain[k] * _inv_scale_deriv(n)
+    def marginal(n):
+        # -d/dN of each active objective term; strictly decreasing in N.
+        return -gain * _inv_scale_deriv(n)
 
-    def node_photons(k, level):
-        if marginal(k, budget) >= level:
-            return budget
-        return brentq(
-            lambda n: marginal(k, n) - level, ALLOC_FLOOR, budget, xtol=1e-14
-        )
+    def node_photons(level):
+        return np.minimum(_photons_at_level(gain, level), budget)
 
-    def total(level):
-        return sum(node_photons(k, level) for k in idx)
-
-    lo = min(marginal(k, budget) for k in idx)   # total(lo) >= budget
-    hi = max(marginal(k, budget / idx.size) for k in idx)
-    it = 0
-    while total(hi) > budget:
-        hi *= 2.0
-        it += 1
-        if it > 60:
-            raise RuntimeError("failed to bracket the allocation level")
+    # Each node takes the whole budget at lo and at most an equal share at hi.
+    lo = marginal(budget).min()
+    hi = marginal(budget / gain.size).max()
     for it in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if total(mid) > budget:
+        # ">=": a capped node plus shares below its rounding sums to exactly
+        # the budget over a range of levels; the optimum is at its top.
+        if node_photons(mid).sum() >= budget:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-14 * max(1.0, hi):
             break
     level = 0.5 * (lo + hi)
-    for k in idx:
-        photons[k] = node_photons(k, level)
+    shares = node_photons(level)
     # Stationarity residual over strictly positive allocations.
-    residual = max(
-        abs(marginal(k, photons[k]) - level) / level for k in idx if photons[k] > 0
-    )
+    positive = shares > 0
+    residual = np.max(np.abs(marginal(shares)[positive] - level)) / level
     # Repair any bisection slack so the budget constraint holds exactly.
-    photons[idx] *= budget / photons[idx].sum()
+    photons[active] = shares * (budget / shares.sum())
     return AllocationResult(photons, product_objective(net, photons), float(residual), it + 1)
 
 

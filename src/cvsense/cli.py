@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
-
-# Honor the thread-count override before numpy initializes its BLAS pools.
-_threads = os.environ.get("CVSENSE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+from pathlib import Path
 
 import click
 import numpy as np
@@ -96,7 +90,7 @@ def parse_config(path, scalar_keys, case_keys=None):
     cases = []
     current = None
     try:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
@@ -237,6 +231,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
     if not cases:
         raise click.UsageError(f"{config_path}: no [case] sections")
     base_seed = seed if seed is not None else scalars.get("seed", 0)
+    notes = []
     rows = []
     all_pass = True
     for index, case in enumerate(cases):
@@ -254,6 +249,8 @@ def cmd_monte_carlo(config_path, seed, trials, out):
             )
         except (KeyError, ValueError) as exc:
             raise click.UsageError(f"{config_path}: case {index}: {exc}")
+        if cfg.total_photons > protocols.SQUEEZING_CAP_PHOTONS and not notes:
+            notes.append(protocols.SQUEEZING_CAP_NOTE)
         report = protocols.simulate_displacement_protocol(cfg)
         sigmas = report.agreement_sigmas()
         status = "PASS" if sigmas < 4.0 else "FAIL"
@@ -273,7 +270,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
         rows,
     )
     _write_manifest(out, "monte-carlo",
-                    {"config": config_path, "trials": trials}, base_seed, body)
+                    {"config": config_path, "trials": trials}, base_seed, body, notes)
     if not all_pass:
         raise StatisticalFailure("one or more cases missed the analytic rms by >= 4 sigma")
 

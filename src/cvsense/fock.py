@@ -2,14 +2,16 @@
 
 Brute-force density matrices in the number basis, used to validate the
 phase-space machinery (fidelities, photon statistics) independently.
+Displacement and squeezing are exponentials of fixed real antisymmetric
+generators, evaluated through an eigenbasis cached per cutoff.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import GaussianState
 
@@ -49,15 +51,35 @@ def annihilation(cutoff):
     return np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
 
 
+@functools.lru_cache(maxsize=16)
+def _generator_eigh(kind, cutoff):
+    """eigh(1j * G) of the truncated generator G, real and antisymmetric.
+
+    G = a^dag - a for "displacement" and (a^2 - a^dag^2)/2 for "squeeze";
+    then exp(t G) = V diag(exp(-1j t mu)) V^dag for every real t.
+    """
+    a = annihilation(cutoff).real
+    gen = a.T - a if kind == "displacement" else 0.5 * (a @ a - a.T @ a.T)
+    mu, vecs = np.linalg.eigh(1j * gen)
+    mu.setflags(write=False)
+    vecs.setflags(write=False)
+    return mu, vecs
+
+
+def _exp_generator(kind, t, cutoff):
+    mu, vecs = _generator_eigh(kind, cutoff)
+    return (vecs * np.exp(-1j * t * mu)) @ vecs.conj().T
+
+
 def displacement_operator(beta, cutoff):
-    a = annihilation(cutoff)
-    return expm(beta * a.conj().T - np.conj(beta) * a)
+    """exp(beta a^dag - beta* a) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
+    phase = np.exp(1j * np.angle(beta) * np.arange(cutoff))
+    return phase[:, None] * _exp_generator("displacement", abs(beta), cutoff) * phase.conj()
 
 
 def squeeze_operator(r, cutoff):
     """Squeezes x for r > 0: Var(x) on vacuum becomes exp(-2r)/4."""
-    a = annihilation(cutoff)
-    return expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+    return _exp_generator("squeeze", r, cutoff)
 
 
 def rotation_operator(theta, cutoff):

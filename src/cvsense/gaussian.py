@@ -20,9 +20,11 @@ GRAM_SCHMIDT_TOL = 1e-8
 
 def symplectic_form(num_modes):
     """Omega = [[0, I], [-I, 0]] in xxpp ordering."""
-    ident = np.eye(num_modes)
-    zero = np.zeros((num_modes, num_modes))
-    return np.block([[zero, ident], [-ident, zero]])
+    omega = np.zeros((2 * num_modes, 2 * num_modes))
+    idx = np.arange(num_modes)
+    omega[idx, idx + num_modes] = 1.0
+    omega[idx + num_modes, idx] = -1.0
+    return omega
 
 
 @dataclass(frozen=True)

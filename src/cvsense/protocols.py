@@ -158,6 +158,8 @@ class SensorNetworkConfig:
             if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must be nonnegative and sum to 1")
             self.weights = w
+        if self.scheme == "product" and not self.uniform:
+            raise ValueError("product-scheme simulation supports uniform networks only")
 
     @property
     def uniform(self):
@@ -213,8 +215,6 @@ def analytic_rms_for_scheme(cfg):
 
         net = WeightedNetwork(cfg.num_nodes, cfg.weights, cfg.eta, cfg.total_photons)
         return weighted_entangled_rms(net)
-    if not cfg.uniform:
-        raise ValueError("product-scheme simulation supports uniform networks only")
     return float(product_rms_error(cfg.num_nodes, cfg.total_photons, cfg.eta[0]))
 
 

@@ -188,3 +188,36 @@ def test_allocation_requires_positive_budget():
     net = uniform_net(2, 0.0, 0.9)
     with pytest.raises(ValueError):
         al.allocate_photons_product(net)
+
+
+def _check_allocation(net):
+    result = al.allocate_photons_product(net)
+    assert result.kkt_residual <= al.KKT_TOL
+    assert abs(result.photons.sum() - net.total_photons) <= 1e-9
+    equal = al.product_objective(net, np.full(net.num_nodes, net.total_photons / net.num_nodes))
+    assert result.objective <= equal * (1.0 + 1e-12)
+
+
+def test_allocation_extreme_weights():
+    # A node carrying almost no weight needs far fewer than 1e-12 photons.
+    for etas in ([1.0, 1.0], [0.9, 0.3], [0.3, 0.9]):
+        for n_s in (0.5, 4.0, 20.0):
+            _check_allocation(al.WeightedNetwork(2, np.array([0.99999, 0.00001]),
+                                                 np.array(etas), n_s))
+
+
+def test_allocation_random_dirichlet_networks():
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    for _ in range(300):
+        m = int(np.exp(rng.uniform(np.log(2), np.log(128))))
+        weights = rng.dirichlet(np.ones(m))
+        etas = rng.uniform(0.3, 1.0, size=m)
+        _check_allocation(al.WeightedNetwork(m, weights, etas, float(rng.uniform(1.0, 20.0))))
+
+
+def test_inv_scale_is_stable_for_large_budgets():
+    # 1/(sqrt(N+1)+sqrt(N))^2 ~ 1/(4N + 2) without the cancellation of
+    # (sqrt(N+1)-sqrt(N))^2, which was off by 1.2 % at N = 1e14.
+    n = np.array([1e8, 1e12, 1e14, 1e18])
+    assert np.allclose(al._inv_scale(n) * (4.0 * n + 2.0), 1.0, rtol=1e-12, atol=0.0)
+    assert np.allclose(al._inv_scale_deriv(n) * (4.0 * n + 2.0) * n, -1.0, rtol=1e-8, atol=0.0)

@@ -226,3 +226,25 @@ def test_manifest_replay_monte_carlo(tmp_path, configs_dir):
 def test_unknown_command_and_missing_option():
     assert run(["no-such-command"]) == 1
     assert run(["rms-curve"]) == 1  # --out is required
+
+
+def test_monte_carlo_rejects_heterogeneous_product(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    for extra in ("eta = 0.9, 0.5\n", "weights = 0.7, 0.3\n"):
+        cfg = tmp_path / "hetero.cfg"
+        cfg.write_text("seed = 1\ntrials = 100\n[case]\nM = 2\nN_S = 2.0\n"
+                       "scheme = product\n" + extra)
+        assert run(["monte-carlo", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "uniform networks only" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("seed = 3\ntrials = 20000\n[case]\nM = 2\nN_S = 2.0\n"
+                   "[case]\nM = 2\nN_S = 20000\n")
+    out = tmp_path / "mc.csv"
+    with pytest.warns(UserWarning, match="40 dB"):
+        assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
+    assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import poisson
 
 from cvsense import fock
@@ -95,3 +96,14 @@ def test_squeezed_displaced_oracle_converged():
     f100 = fock.fock_fidelity(fock.gaussian_to_fock(s, 100), fock.gaussian_to_fock(sd, 100))
     f200 = fock.fock_fidelity(fock.gaussian_to_fock(s, 200), fock.gaussian_to_fock(sd, 200))
     assert abs(f100 - f200) < 1e-8
+
+
+@pytest.mark.parametrize("cutoff", [20, 60, 120])
+def test_operators_match_expm_of_truncated_generators(cutoff):
+    a = fock.annihilation(cutoff)
+    for beta in (0.0, 0.3j, 0.7 - 0.4j, -1.2 + 0.5j, -2.0):
+        want = expm(beta * a.conj().T - np.conj(beta) * a)
+        assert np.abs(fock.displacement_operator(beta, cutoff) - want).max() < 1e-12
+    for r in (-1.1, -0.3, 0.0, 0.45, 1.2):
+        want = expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+        assert np.abs(fock.squeeze_operator(r, cutoff) - want).max() < 1e-12
