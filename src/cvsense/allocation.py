@@ -1,4 +1,8 @@
-"""Weighted-sum sensing over heterogeneous networks.
+"""Weighted-sum sensing over heterogeneous networks, and the noise kernel.
+
+Every closed-form rms in cvsense is weighted_rms, 1/2 sqrt(sum_m w_m^2
+noise_kernel(eta_m, n_m)): n_m = N_S for the entangled scheme, the node's
+own photons for the product scheme.
 
 Closed-form entangled performance, photon allocation for the product
 scheme (water-filling: the per-node KKT condition inverts in closed form,
@@ -28,8 +32,9 @@ class WeightedNetwork:
     total_photons: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        etas = np.asarray(self.etas, dtype=float)
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        w = np.array(self.weights, dtype=float)
+        etas = np.array(self.etas, dtype=float)
         if w.size != self.num_nodes or etas.size != self.num_nodes:
             raise ValueError("weights and etas must have length num_nodes")
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -67,18 +72,26 @@ def _inv_scale_deriv(n):
     return -_inv_scale(n) / np.sqrt(n * (n + 1.0))
 
 
+def noise_kernel(etas, photons):
+    """Per-node x-noise in vacuum units, eta kappa(n) + 1 - eta, of n squeezing photons."""
+    etas = np.asarray(etas, dtype=float)
+    return etas * _inv_scale(photons) + 1.0 - etas
+
+
+def weighted_rms(weights, etas, photons):
+    """rms error of the weighted estimator; photons is the squeezing per node or one scalar."""
+    w = np.asarray(weights, dtype=float)
+    return float(0.5 * np.sqrt(w**2 @ noise_kernel(etas, photons)))
+
+
 def weighted_entangled_rms(net):
     """Closed-form rms error of the weighted entangled estimator."""
-    w2 = net.weights**2
-    terms = net.etas * _inv_scale(net.total_photons) + 1.0 - net.etas
-    return float(0.5 * np.sqrt(w2 @ terms))
+    return weighted_rms(net.weights, net.etas, net.total_photons)
 
 
 def product_objective(net, photons):
     """rms error of the weighted product scheme at a given allocation."""
-    photons = np.asarray(photons, dtype=float)
-    terms = net.etas * _inv_scale(photons) + 1.0 - net.etas
-    return float(0.5 * np.sqrt(net.weights**2 @ terms))
+    return weighted_rms(net.weights, net.etas, photons)
 
 
 def _photons_at_level(gain, level):
@@ -131,15 +144,17 @@ def allocate_photons_product(net):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
+        # Relative width: the level falls like 1/N_S^2, far below 1.
+        if hi - lo <= 1e-14 * hi:
             break
-    level = 0.5 * (lo + hi)
-    shares = node_photons(level)
-    # Stationarity residual over strictly positive allocations.
-    positive = shares > 0
-    residual = np.max(np.abs(marginal(shares)[positive] - level)) / level
+    shares = node_photons(0.5 * (lo + hi))
     # Repair any bisection slack so the budget constraint holds exactly.
-    photons[active] = shares * (budget / shares.sum())
+    shares *= budget / shares.sum()
+    photons[active] = shares
+    # Stationarity residual of the returned photons: the relative spread of
+    # the marginal gains over strictly positive allocations.
+    marginals = marginal(shares[shares > 0])
+    residual = (marginals.max() - marginals.min()) / marginals.max()
     return AllocationResult(photons, product_objective(net, photons), float(residual), it + 1)
 
 
@@ -152,8 +167,7 @@ def optimal_weights_entangled(etas, total_photons):
     etas = np.asarray(etas, dtype=float)
     if np.any(etas <= 0.0) or np.any(etas > 1.0):
         raise ValueError("transmissivities must lie in (0, 1]")
-    coeffs = etas * _inv_scale(total_photons) + 1.0 - etas
-    inv = 1.0 / coeffs
+    inv = 1.0 / noise_kernel(etas, total_photons)
     return inv / inv.sum()
 
 
@@ -170,8 +184,7 @@ def optimal_weights_product(etas, total_photons, tol=1e-12):
     result = allocate_photons_product(net)
     best = result.objective
     for _ in range(MAX_ALTERNATIONS):
-        coeffs = etas * _inv_scale(result.photons) + 1.0 - etas
-        inv = 1.0 / coeffs
+        inv = 1.0 / noise_kernel(etas, result.photons)
         weights = inv / inv.sum()
         net = WeightedNetwork(m, weights, etas, total_photons)
         result = allocate_photons_product(net)

@@ -27,6 +27,12 @@ EXIT_STATISTICAL = 2
 EXIT_NONCONVERGENCE = 3
 
 POINTS_PER_DECADE = 20
+MANIFEST_SCHEMA = 2
+
+PHOTONS = click.FloatRange(min=0.0)
+ETA = click.FloatRange(0.0, 1.0, min_open=True)
+NODES = click.IntRange(min=1)
+SEED = click.IntRange(min=0)
 
 
 class StatisticalFailure(Exception):
@@ -51,12 +57,14 @@ def _write_csv(path, header, rows):
     return body
 
 
-def _write_manifest(out_path, command, params, seed, body, notes=()):
+def _write_manifest(out_path, seed, body, notes=()):
+    """Sidecar recording the invocation: main's argv and the command's parsed parameters."""
+    ctx = click.get_current_context()
     manifest = {
-        "manifest_schema": 1,
-        "command": command,
-        "argv": sys.argv[1:],
-        "params": params,
+        "manifest_schema": MANIFEST_SCHEMA,
+        "command": ctx.info_name,
+        "argv": ctx.obj,
+        "params": ctx.params,
         "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -68,7 +76,7 @@ def _write_manifest(out_path, command, params, seed, body, notes=()):
 
 
 def _log_spaced(m_min, m_max):
-    if m_min < 1 or m_max < m_min:
+    if m_max < m_min:
         raise click.UsageError("need 1 <= m-min <= m-max")
     decades = np.log10(m_max / m_min)
     count = max(2, int(round(decades * POINTS_PER_DECADE)) + 1)
@@ -134,13 +142,13 @@ def cli():
 
 @cli.command("rms-curve")
 @click.option("--scheme", type=click.Choice(["entangled", "product", "both"]), default="both")
-@click.option("--eta", "etas", type=float, multiple=True, default=(1.0,))
-@click.option("--photons-per-node", type=float, default=None,
+@click.option("--eta", "etas", type=ETA, multiple=True, default=(1.0,))
+@click.option("--photons-per-node", type=PHOTONS, default=None,
               help="Fix N_S/M across the sweep (scaling mode).")
-@click.option("--total-photons", type=float, default=None,
+@click.option("--total-photons", type=PHOTONS, default=None,
               help="Fix N_S across the sweep.")
-@click.option("--m-min", type=int, default=10)
-@click.option("--m-max", type=int, default=10_000)
+@click.option("--m-min", type=NODES, default=10)
+@click.option("--m-max", type=NODES, default=10_000)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, out):
     """rms error versus node count for both schemes."""
@@ -150,8 +158,6 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, o
     notes = []
     rows = []
     for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise click.UsageError("eta must lie in (0, 1]")
         for m in _log_spaced(m_min, m_max):
             n_s = total_photons if total_photons is not None else photons_per_node * m
             per_node = n_s / m
@@ -165,24 +171,19 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, o
                 )
                 rows.append((m, float(formula(m, n_s, eta)), sch, eta, per_node))
     body = _write_csv(out, ["M", "delta_alpha", "scheme", "eta", "n_S"], rows)
-    _write_manifest(
-        out, "rms-curve",
-        {"scheme": scheme, "etas": list(etas), "photons_per_node": photons_per_node,
-         "total_photons": total_photons, "m_min": m_min, "m_max": m_max},
-        None, body, notes,
-    )
+    _write_manifest(out, None, body, notes)
 
 
 @cli.command("ratio-curve")
 @click.option("--mode", type=click.Choice(["vs-M", "vs-loss"]), required=True)
-@click.option("--total-photons", type=float, default=10.0)
-@click.option("--eta", "etas", type=float, multiple=True,
+@click.option("--total-photons", type=PHOTONS, default=10.0)
+@click.option("--eta", "etas", type=ETA, multiple=True,
               default=(0.5, 0.8, 0.9, 0.95, 0.99, 1.0))
-@click.option("--m", "node_counts", type=int, multiple=True,
+@click.option("--m", "node_counts", type=NODES, multiple=True,
               default=(5, 10, 20, 50, 100, 1000))
-@click.option("--m-min", type=int, default=1)
-@click.option("--m-max", type=int, default=1000)
-@click.option("--loss-db-max", type=float, default=10.0)
+@click.option("--m-min", type=NODES, default=1)
+@click.option("--m-max", type=NODES, default=1000)
+@click.option("--loss-db-max", type=click.FloatRange(min=0.0), default=10.0)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_db_max, out):
     """Product/entangled sensitivity ratio in dB, versus M or versus loss."""
@@ -204,13 +205,7 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
                     (float(loss_db), float(protocols.sensitivity_ratio_db(m, total_photons, eta)), m, total_photons)
                 )
     body = _write_csv(out, header, rows)
-    _write_manifest(
-        out, "ratio-curve",
-        {"mode": mode, "total_photons": total_photons, "etas": list(etas),
-         "node_counts": list(node_counts), "m_min": m_min, "m_max": m_max,
-         "loss_db_max": loss_db_max},
-        None, body, notes=protocols.known_discrepancies(),
-    )
+    _write_manifest(out, None, body, notes=protocols.known_discrepancies())
 
 
 _MC_SCALARS = {"seed": int, "trials": int}
@@ -222,7 +217,7 @@ _MC_CASE = {
 
 @cli.command("monte-carlo")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=SEED, default=None, help="Override the config seed.")
 @click.option("--trials", type=int, default=None, help="Override per-case trial counts.")
 @click.option("--out", type=click.Path(), required=True)
 def cmd_monte_carlo(config_path, seed, trials, out):
@@ -269,8 +264,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
          "sigma_gap", "status"],
         rows,
     )
-    _write_manifest(out, "monte-carlo",
-                    {"config": config_path, "trials": trials}, base_seed, body, notes)
+    _write_manifest(out, base_seed, body, notes)
     if not all_pass:
         raise StatisticalFailure("one or more cases missed the analytic rms by >= 4 sigma")
 
@@ -315,17 +309,20 @@ def cmd_weighted(config_path, out):
         rows.append(("optimized_product", alloc_opt.objective, weight_str(w_prod),
                      weight_str(alloc_opt.photons), alloc_opt.kkt_residual,
                      alloc_opt.iterations))
+    except ValueError as exc:
+        raise click.UsageError(f"{config_path}: {exc}")
     except RuntimeError as exc:
         raise ConvergenceFailure(str(exc))
     body = _write_csv(
         out, ["kind", "objective", "weights", "photons", "kkt_residual", "iterations"], rows
     )
-    _write_manifest(out, "weighted", {"config": config_path}, None, body)
+    _write_manifest(out, None, body)
 
 
 @cli.command("fisher")
-@click.option("--draws", type=int, default=20, help="Random parameter draws to sweep.")
-@click.option("--seed", type=int, default=0)
+@click.option("--draws", type=click.IntRange(min=0), default=20,
+              help="Random parameter draws to sweep.")
+@click.option("--seed", type=SEED, default=0)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_fisher(draws, seed, out):
     """Fisher-information sweep (closed form vs fidelity-limit numeric) + CR-bound table."""
@@ -360,7 +357,7 @@ def cmd_fisher(draws, seed, out):
          "rel_gap", "M", "N_S", "cr_bound", "product_rms", "difference"],
         rows,
     )
-    _write_manifest(out, "fisher", {"draws": draws}, seed, body)
+    _write_manifest(out, seed, body)
 
 
 _PHASE_SCALARS = {
@@ -371,7 +368,7 @@ _PHASE_SCALARS = {
 
 @cli.command("phase")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=SEED, default=None)
 @click.option("--trials", type=int, default=None)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_phase(config_path, seed, trials, out):
@@ -409,56 +406,32 @@ def cmd_phase(config_path, seed, trials, out):
          "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"],
         rows,
     )
-    _write_manifest(out, "phase", {"config": config_path, "trials": trials}, run_seed, body)
+    _write_manifest(out, run_seed, body)
 
 
 def manifest_to_argv(manifest, out_path):
-    """Reconstruct a CLI invocation from a manifest sidecar (for replays)."""
-    command = manifest["command"]
-    params = manifest["params"]
-    seed = manifest.get("seed")
-    argv = [command]
-
-    def opt(flag, value):
-        if value is not None:
-            argv.extend([flag, str(value)])
-
-    if command == "rms-curve":
-        opt("--scheme", params["scheme"])
-        for eta in params["etas"]:
-            argv.extend(["--eta", str(eta)])
-        opt("--photons-per-node", params["photons_per_node"])
-        opt("--total-photons", params["total_photons"])
-        opt("--m-min", params["m_min"])
-        opt("--m-max", params["m_max"])
-    elif command == "ratio-curve":
-        opt("--mode", params["mode"])
-        opt("--total-photons", params["total_photons"])
-        for eta in params["etas"]:
-            argv.extend(["--eta", str(eta)])
-        for m in params["node_counts"]:
-            argv.extend(["--m", str(m)])
-        opt("--m-min", params["m_min"])
-        opt("--m-max", params["m_max"])
-        opt("--loss-db-max", params["loss_db_max"])
-    elif command in ("monte-carlo", "phase"):
-        opt("--config", params["config"])
-        opt("--trials", params["trials"])
-        opt("--seed", seed)
-    elif command == "weighted":
-        opt("--config", params["config"])
-    elif command == "fisher":
-        opt("--draws", params["draws"])
-        opt("--seed", seed)
-    else:
-        raise ValueError(f"unknown command in manifest: {command!r}")
+    """Rebuild the invocation a manifest records, writing to out_path instead."""
+    if manifest.get("manifest_schema") != MANIFEST_SCHEMA:
+        raise ValueError(f"unsupported manifest schema {manifest.get('manifest_schema')!r}")
+    name = manifest["command"]
+    if name not in cli.commands:
+        raise ValueError(f"unknown command in manifest: {name!r}")
+    argv = [name]
+    for param in cli.commands[name].params:
+        value = manifest["params"].get(param.name)
+        if param.name == "out" or value is None:
+            continue
+        for item in value if param.multiple else [value]:
+            argv.extend([param.opts[0], str(item)])
     argv.extend(["--out", out_path])
     return argv
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # obj carries argv to the manifest, which records it verbatim.
+        cli.main(args=argv, standalone_mode=False, obj=argv)
     except (click.UsageError, click.BadParameter) as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE

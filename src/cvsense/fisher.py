@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .allocation import noise_kernel
 from .gaussian import GaussianState
 from .protocols import product_rms_error
 
@@ -147,8 +148,7 @@ def fisher_max(n_photons, eta):
     """
     if n_photons < 0:
         raise ValueError("photon budget must be nonnegative")
-    s = (np.sqrt(n_photons + 1.0) + np.sqrt(n_photons)) ** 2
-    value = 1.0 / (eta / (4.0 * s) + (1.0 - eta) / 4.0)
+    value = 4.0 / noise_kernel(eta, n_photons)
     argmax = SqueezedThermalParams(r=float(np.arccosh(2.0 * n_photons + 1.0)))
     return float(value), argmax
 

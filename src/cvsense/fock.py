@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState
 
 DEFAULT_CUTOFF = 60
 HERMITICITY_TOL = 1e-10

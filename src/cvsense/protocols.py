@@ -8,13 +8,13 @@ diagnostics, and the Mach-Zehnder phase-sensing network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussian
+from .allocation import WeightedNetwork, noise_kernel, weighted_rms
 from .gaussian import (
-    GaussianState,
     LossChannel,
     apply_loss,
     apply_symplectic,
@@ -23,9 +23,7 @@ from .gaussian import (
     displace_all,
     squeezed_vacuum,
     tensor,
-    transform_from_mode_matrix,
     unbalanced_splitter,
-    complete_orthogonal,
 )
 
 PHASE_LINEARIZATION_GUARD = 0.3
@@ -55,23 +53,16 @@ def _check_domain(num_nodes, total_photons, eta):
         raise ValueError("transmissivity must lie in (0, 1]")
 
 
-def _squeeze_scale(n_photons):
-    """(sqrt(N+1) + sqrt(N))^2 = exp(2r) with sinh^2 r = N."""
-    return (np.sqrt(np.asarray(n_photons, dtype=float) + 1.0) + np.sqrt(n_photons)) ** 2
-
-
 def entangled_rms_error(num_nodes, total_photons, eta):
     """rms error of the entangled scheme's average-quadrature estimator."""
     _check_domain(num_nodes, total_photons, eta)
-    s = _squeeze_scale(total_photons)
-    return 0.5 * np.sqrt(eta / (num_nodes * s) + (1.0 - eta) / num_nodes)
+    return 0.5 * np.sqrt(noise_kernel(eta, total_photons) / num_nodes)
 
 
 def product_rms_error(num_nodes, total_photons, eta):
-    """rms error of the optimal product scheme (N/M photons per node)."""
+    """rms error of the optimal product scheme: the entangled form at N/M photons."""
     _check_domain(num_nodes, total_photons, eta)
-    s = _squeeze_scale(np.asarray(total_photons, dtype=float) / num_nodes)
-    return 0.5 * np.sqrt(eta / (num_nodes * s) + (1.0 - eta) / num_nodes)
+    return entangled_rms_error(num_nodes, np.asarray(total_photons, dtype=float) / num_nodes, eta)
 
 
 def sensitivity_ratio_db(num_nodes, total_photons, eta):
@@ -135,29 +126,18 @@ class SensorNetworkConfig:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("number of nodes must be >= 1")
-        if self.total_photons < 0:
-            raise ValueError("total photon number must be nonnegative")
         if self.scheme not in ("entangled", "product"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trial count must be positive")
+        # WeightedNetwork validates the weights, the etas and the budget.
         etas = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if etas.size == 1:
             etas = np.full(self.num_nodes, etas[0])
-        if etas.size != self.num_nodes:
-            raise ValueError("eta vector length must equal the node count")
-        if np.any(etas <= 0.0) or np.any(etas > 1.0):
-            raise ValueError("transmissivity must lie in (0, 1]")
-        self.eta = etas
         if self.weights is None:
             self.weights = np.full(self.num_nodes, 1.0 / self.num_nodes)
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.size != self.num_nodes:
-                raise ValueError("weights length must equal the node count")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be nonnegative and sum to 1")
-            self.weights = w
+        net = WeightedNetwork(self.num_nodes, self.weights, etas, self.total_photons)
+        self.eta, self.weights = net.etas, net.weights
         if self.scheme == "product" and not self.uniform:
             raise ValueError("product-scheme simulation supports uniform networks only")
 
@@ -181,6 +161,33 @@ class EstimatorReport:
 
     def agreement_sigmas(self):
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
+
+
+def _run_campaign(state, quadrature, estimate, target, trials, seed, analytic_rms, scheme):
+    """Homodyne-sample state in chunks and report the estimator's statistics about target.
+
+    estimate maps a (trials, modes) sample block to one estimate per trial.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    total = 0
+    sum_est = 0.0
+    sum_sq = 0.0
+    while total < trials:
+        n = min(_CHUNK, trials - total)
+        est = estimate(gaussian.homodyne_samples(state, quadrature, n, rng))
+        sum_est += est.sum()
+        sum_sq += ((est - target) ** 2).sum()
+        total += n
+
+    rms = float(np.sqrt(sum_sq / trials))
+    return EstimatorReport(
+        trials=trials,
+        empirical_mean=float(sum_est / trials),
+        empirical_rms_error=rms,
+        rms_standard_error=rms / np.sqrt(2.0 * trials),
+        analytic_rms=analytic_rms,
+        scheme=scheme,
+    )
 
 
 def _build_input_for_config(cfg, axis="x"):
@@ -208,14 +215,11 @@ def analytic_config_rms(cfg):
 
 
 def analytic_rms_for_scheme(cfg):
-    if cfg.scheme == "entangled":
-        if cfg.uniform:
-            return float(entangled_rms_error(cfg.num_nodes, cfg.total_photons, cfg.eta[0]))
-        from .allocation import WeightedNetwork, weighted_entangled_rms
-
-        net = WeightedNetwork(cfg.num_nodes, cfg.weights, cfg.eta, cfg.total_photons)
-        return weighted_entangled_rms(net)
-    return float(product_rms_error(cfg.num_nodes, cfg.total_photons, cfg.eta[0]))
+    """Closed-form estimator rms; each product node squeezes with N_S/M photons."""
+    photons = cfg.total_photons
+    if cfg.scheme == "product":
+        photons = photons / cfg.num_nodes
+    return weighted_rms(cfg.weights, cfg.eta, photons)
 
 
 def simulate_displacement_protocol(cfg):
@@ -226,29 +230,11 @@ def simulate_displacement_protocol(cfg):
         warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     state = apply_loss(_build_input_for_config(cfg), LossChannel(cfg.eta))
     state = displace_all(state, cfg.alpha_true)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    target = cfg.alpha_true * cfg.weights.sum()  # = alpha_true
-
-    total = 0
-    sum_est = 0.0
-    sum_sq = 0.0
-    while total < cfg.trials:
-        n = min(_CHUNK, cfg.trials - total)
-        samples = gaussian.homodyne_samples(state, "x", n, rng)
-        est = samples @ cfg.weights
-        sum_est += est.sum()
-        sum_sq += ((est - target) ** 2).sum()
-        total += n
-
-    analytic = analytic_rms_for_scheme(cfg)
-    rms = float(np.sqrt(sum_sq / cfg.trials))
-    return EstimatorReport(
-        trials=cfg.trials,
-        empirical_mean=float(sum_est / cfg.trials),
-        empirical_rms_error=rms,
-        rms_standard_error=rms / np.sqrt(2.0 * cfg.trials),
-        analytic_rms=analytic,
-        scheme=cfg.scheme,
+    return _run_campaign(
+        state, "x", lambda samples: samples @ cfg.weights,
+        target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
+        trials=cfg.trials, seed=cfg.seed,
+        analytic_rms=analytic_rms_for_scheme(cfg), scheme=cfg.scheme,
     )
 
 
@@ -337,25 +323,9 @@ def simulate_phase_protocol(
     m = num_nodes
     state = build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
     scale = 2.0 / (np.sqrt(eta * ancilla_photons) * m)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    total = 0
-    sum_est = 0.0
-    sum_sq = 0.0
-    while total < trials:
-        n = min(_CHUNK, trials - total)
-        samples = gaussian.homodyne_samples(state, "p", n, rng)[:, :m]
-        est = scale * samples.sum(axis=1)
-        sum_est += est.sum()
-        sum_sq += ((est - dphi_true) ** 2).sum()
-        total += n
-
-    rms = float(np.sqrt(sum_sq / trials))
-    return EstimatorReport(
-        trials=trials,
-        empirical_mean=float(sum_est / trials),
-        empirical_rms_error=rms,
-        rms_standard_error=rms / np.sqrt(2.0 * trials),
+    return _run_campaign(
+        state, "p", lambda samples: scale * samples[:, :m].sum(axis=1),
+        target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
         scheme="phase-entangled",
     )

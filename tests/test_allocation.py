@@ -221,3 +221,19 @@ def test_inv_scale_is_stable_for_large_budgets():
     n = np.array([1e8, 1e12, 1e14, 1e18])
     assert np.allclose(al._inv_scale(n) * (4.0 * n + 2.0), 1.0, rtol=1e-12, atol=0.0)
     assert np.allclose(al._inv_scale_deriv(n) * (4.0 * n + 2.0) * n, -1.0, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("n_s", [1e4, 1e6])
+def test_allocation_residual_holds_for_the_returned_photons(n_s):
+    # The Lagrange level falls like 1/N_S^2, so only a relative bisection
+    # width keeps the returned photons at the equal-marginal point.
+    w, etas = np.array([0.7, 0.3]), np.array([0.9, 0.3])
+    result = al.allocate_photons_product(al.WeightedNetwork(2, w, etas, n_s))
+    n = result.photons
+    # -kappa'(n) with kappa = 1/(2n + 1 + 2 sqrt(n(n+1))), the expanded form.
+    root = np.sqrt(n * (n + 1.0))
+    marginal = w**2 * etas / ((2.0 * n + 1.0 + 2.0 * root) * root)
+    spread = (marginal.max() - marginal.min()) / marginal.max()
+    assert spread <= al.KKT_TOL
+    # The two routes round apart at the 1e-16 level; an absolute stop left 1e-8.
+    assert spread <= result.kkt_residual + 1e-14

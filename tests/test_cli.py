@@ -6,6 +6,8 @@ import pytest
 
 from cvsense import cli, protocols
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -200,6 +202,10 @@ def test_phase_guard_maps_to_usage_error(tmp_path):
                "--m-max", 100]),
     ("ratio", ["ratio-curve", "--mode", "vs-M", "--m-min", 1, "--m-max", 50]),
     ("fisher", ["fisher", "--draws", 3, "--seed", 5]),
+    ("loss", ["ratio-curve", "--mode", "vs-loss", "--total-photons", 10, "--m", 20, "--m", 50,
+              "--loss-db-max", 5.0]),
+    ("weighted", ["weighted", "--config", CONFIGS / "weighted_m2.cfg"]),
+    ("phase", ["phase", "--config", CONFIGS / "phase_sweep.cfg", "--trials", 2_000]),
 ])
 def test_manifest_replay(tmp_path, name, args):
     # Re-running the invocation reconstructed from a manifest reproduces the
@@ -248,3 +254,36 @@ def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
     with pytest.warns(UserWarning, match="40 dB"):
         assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
     assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]
+
+
+def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
+    out = tmp_path / "fisher.csv"
+    argv = ["fisher", "--draws", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    info = manifest(out)
+    assert info["argv"] == argv
+    assert info["manifest_schema"] == cli.MANIFEST_SCHEMA
+    assert info["params"] == {"draws": 2, "seed": 0, "out": str(out)}
+    for schema in (1, None):
+        with pytest.raises(ValueError, match="schema"):
+            cli.manifest_to_argv(dict(info, manifest_schema=schema), "x.csv")
+    with pytest.raises(ValueError, match="unknown command"):
+        cli.manifest_to_argv(dict(info, command="no-such-command"), "x.csv")
+
+
+@pytest.mark.parametrize("args", [
+    ["rms-curve", "--photons-per-node", -1],
+    ["rms-curve", "--total-photons", -1],
+    ["ratio-curve", "--mode", "vs-M", "--total-photons", -1],
+    ["ratio-curve", "--mode", "vs-M", "--eta", 0],
+    ["ratio-curve", "--mode", "vs-loss", "--m", 0],
+    ["ratio-curve", "--mode", "vs-loss", "--loss-db-max", -5],
+    ["weighted", "--config", "zero_budget.cfg"],
+    ["fisher", "--draws", -1],
+    ["fisher", "--seed", -1],
+])
+def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, args):
+    (tmp_path / "zero_budget.cfg").write_text("N_S = 0\netas = 0.9, 0.3\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", tmp_path / "x.csv"]) == 1
+    assert "Traceback" not in capsys.readouterr().err

@@ -75,6 +75,21 @@ def test_analytic_rms_matches_covariance_route():
         assert pr.analytic_config_rms(cfg) == pytest.approx(
             float(pr.product_rms_error(m, n_s, eta)), abs=1e-12
         )
+    # Seeded random networks: the kernel route agrees with the covariance route.
+    # Weights stay above 0.1 (the Gram-Schmidt splitter breaks on tiny late weights).
+    rng = np.random.default_rng(np.random.SeedSequence(67))
+    cases = [(1, 0.0), (1, 12.0), (9, 0.0)]
+    cases += [(int(rng.integers(1, 25)), float(rng.uniform(0.0, 30.0))) for _ in range(37)]
+    for index, (m, n_s) in enumerate(cases):
+        if index % 2:
+            cfg = pr.SensorNetworkConfig(m, n_s, rng.uniform(0.2, 1.0), scheme="product")
+        else:
+            w = rng.uniform(0.1, 1.0, size=m)
+            cfg = pr.SensorNetworkConfig(m, n_s, rng.uniform(0.2, 1.0, size=m),
+                                         weights=w / w.sum(), scheme="entangled")
+        assert pr.analytic_rms_for_scheme(cfg) == pytest.approx(
+            pr.analytic_config_rms(cfg), abs=1e-12
+        )
 
 
 def test_splitter_completion_invariance():
