@@ -22,6 +22,12 @@ MAX_BISECTIONS = 200
 MAX_ALTERNATIONS = 500
 
 
+def _check_etas(etas):
+    # eta = 0 is excluded; model a dead node with weight 0 instead.
+    if not np.all((etas > 0.0) & (etas <= 1.0)):
+        raise ValueError("transmissivities must lie in (0, 1]")
+
+
 @dataclass(frozen=True)
 class WeightedNetwork:
     """M nodes with estimator weights, per-node transmissivities and a photon budget."""
@@ -37,13 +43,12 @@ class WeightedNetwork:
         etas = np.array(self.etas, dtype=float)
         if w.size != self.num_nodes or etas.size != self.num_nodes:
             raise ValueError("weights and etas must have length num_nodes")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        # Each test is written so that nan fails it: every comparison with nan is false.
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
-        # eta = 0 is excluded; model a dead node with weight 0 instead.
-        if np.any(etas <= 0.0) or np.any(etas > 1.0):
-            raise ValueError("transmissivities must lie in (0, 1]")
-        if self.total_photons < 0:
-            raise ValueError("photon budget must be nonnegative")
+        _check_etas(etas)
+        if not 0 <= self.total_photons < np.inf:
+            raise ValueError("photon budget must be finite and nonnegative")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "etas", etas)
         self.weights.setflags(write=False)
@@ -165,8 +170,7 @@ def optimal_weights_entangled(etas, total_photons):
     c_m the per-node noise coefficient (all positive, so feasible as is).
     """
     etas = np.asarray(etas, dtype=float)
-    if np.any(etas <= 0.0) or np.any(etas > 1.0):
-        raise ValueError("transmissivities must lie in (0, 1]")
+    _check_etas(etas)
     inv = 1.0 / noise_kernel(etas, total_photons)
     return inv / inv.sum()
 

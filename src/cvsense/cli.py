@@ -29,8 +29,19 @@ EXIT_NONCONVERGENCE = 3
 POINTS_PER_DECADE = 20
 MANIFEST_SCHEMA = 2
 
-PHOTONS = click.FloatRange(min=0.0)
-ETA = click.FloatRange(0.0, 1.0, min_open=True)
+
+class FiniteFloatRange(click.FloatRange):
+    """A float range that also rejects nan and infinities, which FloatRange lets through."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not np.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+PHOTONS = FiniteFloatRange(min=0.0)
+ETA = FiniteFloatRange(0.0, 1.0, min_open=True)
 NODES = click.IntRange(min=1)
 SEED = click.IntRange(min=0)
 
@@ -131,6 +142,13 @@ def _float_list(value):
     return [float(v) for v in value.replace(",", " ").split()]
 
 
+def _seed(value):
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("must be >= 0")
+    return seed
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -183,7 +201,7 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, o
               default=(5, 10, 20, 50, 100, 1000))
 @click.option("--m-min", type=NODES, default=1)
 @click.option("--m-max", type=NODES, default=1000)
-@click.option("--loss-db-max", type=click.FloatRange(min=0.0), default=10.0)
+@click.option("--loss-db-max", type=FiniteFloatRange(min=0.0), default=10.0)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_db_max, out):
     """Product/entangled sensitivity ratio in dB, versus M or versus loss."""
@@ -208,7 +226,7 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
     _write_manifest(out, None, body, notes=protocols.known_discrepancies())
 
 
-_MC_SCALARS = {"seed": int, "trials": int}
+_MC_SCALARS = {"seed": _seed, "trials": int}
 _MC_CASE = {
     "M": int, "N_S": float, "eta": _float_list, "weights": _float_list,
     "scheme": str, "alpha": float, "trials": int,
@@ -362,7 +380,7 @@ def cmd_fisher(draws, seed, out):
 
 _PHASE_SCALARS = {
     "M": int, "N_S": float, "N_v": float, "eta": float,
-    "dphi": _float_list, "trials": int, "seed": int,
+    "dphi": _float_list, "trials": int, "seed": _seed,
 }
 
 

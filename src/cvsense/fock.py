@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import psd_violation
 
 DEFAULT_CUTOFF = 60
 HERMITICITY_TOL = 1e-10
@@ -81,22 +82,21 @@ def squeeze_operator(r, cutoff):
     return _exp_generator("squeeze", r, cutoff)
 
 
-def rotation_operator(theta, cutoff):
-    """exp(-i theta n): rotates quadratures by R_theta = [[c, s], [-s, c]]."""
-    n = np.arange(cutoff)
-    return np.diag(np.exp(-1j * theta * n))
+def rotation_phases(theta, cutoff):
+    """Diagonal of exp(-i theta n), which rotates quadratures by R_theta = [[c, s], [-s, c]]."""
+    return np.exp(-1j * theta * np.arange(cutoff))
 
 
-def thermal_density(nbar, cutoff):
+def thermal_populations(nbar, cutoff):
+    """Number-basis populations of a thermal state, the diagonal of its density matrix."""
     if nbar < 0:
         raise ValueError("thermal occupation must be nonnegative")
     if nbar == 0:
         probs = np.zeros(cutoff)
         probs[0] = 1.0
-    else:
-        ratio = nbar / (nbar + 1.0)
-        probs = ratio ** np.arange(cutoff) / (nbar + 1.0)
-    return np.diag(probs).astype(complex)
+        return probs
+    ratio = nbar / (nbar + 1.0)
+    return ratio ** np.arange(cutoff) / (nbar + 1.0)
 
 
 def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
@@ -117,8 +117,8 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
             f"top-level occupancy {tail:.3e} exceeds tolerance; "
             "increase the Fock cutoff"
         )
-    min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
-    if min_eig < -PSD_TOL:
+    min_eig = psd_violation(0.5 * (mat + mat.conj().T), PSD_TOL)
+    if min_eig is not None:
         raise ValueError(f"density matrix is not PSD (min eig {min_eig:.3e})")
 
 
@@ -143,10 +143,11 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     theta = float(np.arctan2(-v1[1], v1[0]))
     beta = state.mean[0] + 1j * state.mean[1]
 
-    rho = thermal_density(nbar, cutoff)
-    u = displacement_operator(beta, cutoff) @ rotation_operator(theta, cutoff) \
+    # D R is D with its columns scaled by R's diagonal, and u rho_thermal u^dag
+    # is (u scaled by the populations) u^dag.
+    u = (displacement_operator(beta, cutoff) * rotation_phases(theta, cutoff)) \
         @ squeeze_operator(r, cutoff)
-    rho = u @ rho @ u.conj().T
+    rho = (u * thermal_populations(nbar, cutoff)) @ u.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     _validate_density(rho, trace_tol)
     return FockOperator(rho)

@@ -15,7 +15,6 @@ SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-14
-GRAM_SCHMIDT_TOL = 1e-8
 
 
 def symplectic_form(num_modes):
@@ -25,6 +24,23 @@ def symplectic_form(num_modes):
     omega[idx, idx + num_modes] = 1.0
     omega[idx + num_modes, idx] = -1.0
     return omega
+
+
+def psd_violation(herm, tol):
+    """Minimum eigenvalue of the Hermitian matrix herm if it is below -tol, else None.
+
+    A Cholesky factor of herm + tol I exists when every eigenvalue of herm
+    exceeds -tol, which settles almost every call; eigvalsh runs only when
+    the factorization fails, to decide at round-off and report the eigenvalue.
+    """
+    shifted = herm.copy()
+    shifted.flat[:: herm.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+        return None
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(herm).min()
+        return min_eig if min_eig < -tol else None
 
 
 @dataclass(frozen=True)
@@ -48,9 +64,8 @@ class GaussianState:
             raise ValueError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
         # Uncertainty principle: cov + (i/4) Omega >= 0.
-        herm = cov + 0.25j * symplectic_form(m)
-        min_eig = np.linalg.eigvalsh(herm).min()
-        if min_eig < -UNCERTAINTY_TOL:
+        min_eig = psd_violation(cov + 0.25j * symplectic_form(m), UNCERTAINTY_TOL)
+        if min_eig is not None:
             raise ValueError(
                 f"covariance violates the uncertainty principle (min eig {min_eig:.3e})"
             )
@@ -127,7 +142,7 @@ class LossChannel:
 
     def __post_init__(self):
         etas = np.atleast_1d(np.asarray(self.transmissivities, dtype=float))
-        if np.any(etas <= 0.0) or np.any(etas > 1.0):
+        if not np.all((etas > 0.0) & (etas <= 1.0)):  # nan fails this too
             raise ValueError("transmissivities must lie in (0, 1]")
         object.__setattr__(self, "transmissivities", etas)
         self.transmissivities.setflags(write=False)
@@ -193,31 +208,25 @@ def tensor(*states):
 # -- transform constructors -----------------------------------------------
 
 
-def complete_orthogonal(first_row, tol=GRAM_SCHMIDT_TOL):
+def complete_orthogonal(first_row):
     """Orthogonal matrix whose first row is first_row normalized.
 
-    Remaining rows come from Gram-Schmidt over the standard basis in index
-    order, skipping near-parallel candidates.
+    The completion is the Householder reflection 2 p p^T / p^T p - I with
+    p = u + sign(u_0) e_1, which maps e_1 to sign(u_0) u; its first row is
+    then set to u itself.  Choosing the sign keeps |p_0| >= 1, so no row
+    loses orthogonality however small the entries of u.
     """
     u = np.asarray(first_row, dtype=float)
-    norm = np.linalg.norm(u)
+    norm = np.sqrt(u @ u)
     if norm == 0.0:
         raise ValueError("first row must be a nonzero vector")
-    m = u.size
-    rows = [u / norm]
-    for i in range(m):
-        if len(rows) == m:
-            break
-        v = np.zeros(m)
-        v[i] = 1.0
-        for row in rows:
-            v -= (row @ v) * row
-        nv = np.linalg.norm(v)
-        if nv > tol:
-            rows.append(v / nv)
-    if len(rows) != m:
-        raise ValueError("orthogonal completion failed")
-    return np.array(rows)
+    u = u / norm
+    p = u.copy()
+    p[0] += 1.0 if u[0] >= 0.0 else -1.0
+    o = np.outer(p, p * (2.0 / (p @ p)))
+    o.flat[:: u.size + 1] -= 1.0
+    o[0] = u
+    return o
 
 
 def transform_from_mode_matrix(mode_matrix):

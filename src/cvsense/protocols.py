@@ -44,12 +44,14 @@ _CHUNK = 200_000
 
 
 def _check_domain(num_nodes, total_photons, eta):
-    if np.any(np.asarray(num_nodes) < 1):
+    # Each test is written so that nan fails it: every comparison with nan is false.
+    if not np.all(np.asarray(num_nodes) >= 1):
         raise ValueError("number of nodes must be >= 1")
-    if np.any(np.asarray(total_photons) < 0):
-        raise ValueError("total photon number must be nonnegative")
+    photons = np.asarray(total_photons, dtype=float)
+    if not np.all((photons >= 0) & np.isfinite(photons)):
+        raise ValueError("total photon number must be finite and nonnegative")
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0) or np.any(eta > 1.0):
+    if not np.all((eta > 0.0) & (eta <= 1.0)):
         raise ValueError("transmissivity must lie in (0, 1]")
 
 
@@ -89,9 +91,9 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
     """
     if num_nodes < 1:
         raise ValueError("number of nodes must be >= 1")
-    modes = [squeezed_vacuum(total_photons, axis)]
-    modes += [gaussian.vacuum_state(1) for _ in range(num_nodes - 1)]
-    state = tensor(*modes) if num_nodes > 1 else modes[0]
+    state = squeezed_vacuum(total_photons, axis)
+    if num_nodes > 1:
+        state = tensor(state, gaussian.vacuum_state(num_nodes - 1))
     if splitter is None:
         splitter = balanced_splitter(num_nodes)
     return apply_symplectic(state, splitter)

@@ -21,6 +21,16 @@ def test_network_validation():
         al.WeightedNetwork(2, np.array([0.5, 0.5]), np.array([1.0, 1.0]), -1.0)
     with pytest.raises(ValueError):
         al.WeightedNetwork(3, np.array([0.5, 0.5]), np.array([1.0, 1.0]), 1.0)
+    for weights, etas, n_s in [
+        ([0.5, 0.5], [0.9, 0.3], np.nan),
+        ([0.5, 0.5], [0.9, 0.3], np.inf),
+        ([0.5, 0.5], [0.9, np.nan], 1.0),
+        ([np.nan, 0.5], [0.9, 0.3], 1.0),
+    ]:
+        with pytest.raises(ValueError):
+            al.WeightedNetwork(2, np.array(weights), np.array(etas), n_s)
+    with pytest.raises(ValueError):
+        al.optimal_weights_entangled(np.array([0.9, np.nan]), 4.0)
 
 
 def test_uniform_reductions():
@@ -121,12 +131,14 @@ def test_optimal_weights_entangled():
     # Spot value from the closed form w_m ~ 1/c_m.
     c = np.array([0.9, 0.3]) * al._inv_scale(4.0) + 1.0 - np.array([0.9, 0.3])
     assert np.allclose(w, (1 / c) / (1 / c).sum(), atol=1e-14)
-    # Certification against a fine simplex grid.
-    best = np.inf
-    for w1 in np.linspace(0.0, 1.0, 100_001):
-        weights = np.array([w1, 1.0 - w1])
-        net = al.WeightedNetwork(2, weights, np.array([0.9, 0.3]), 4.0)
-        best = min(best, al.weighted_entangled_rms(net))
+    # Certification against a fine simplex grid, evaluated in one batch.
+    w1 = np.linspace(0.0, 1.0, 100_001)
+    grid = np.stack([w1, 1.0 - w1], axis=1)
+    rms = 0.5 * np.sqrt(grid**2 @ al.noise_kernel(np.array([0.9, 0.3]), 4.0))
+    for i in range(0, w1.size, 10_000):  # the batch agrees with the one-network route
+        net = al.WeightedNetwork(2, grid[i], np.array([0.9, 0.3]), 4.0)
+        assert rms[i] == pytest.approx(al.weighted_entangled_rms(net), rel=1e-14)
+    best = rms.min()
     opt = al.weighted_entangled_rms(al.WeightedNetwork(2, w, np.array([0.9, 0.3]), 4.0))
     assert opt <= best + 1e-12
 

@@ -281,9 +281,35 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
     ["weighted", "--config", "zero_budget.cfg"],
     ["fisher", "--draws", -1],
     ["fisher", "--seed", -1],
+    ["monte-carlo", "--config", "negative_seed_mc.cfg"],
+    ["phase", "--config", "negative_seed_phase.cfg"],
+    ["rms-curve", "--total-photons", "nan"],
+    ["rms-curve", "--photons-per-node", "nan"],
+    ["rms-curve", "--total-photons", "inf"],
+    ["rms-curve", "--total-photons", 1, "--eta", "nan"],
+    ["ratio-curve", "--mode", "vs-M", "--total-photons", "nan"],
+    ["ratio-curve", "--mode", "vs-loss", "--loss-db-max", "nan"],
+    ["weighted", "--config", "nan_budget.cfg"],
 ])
 def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, args):
     (tmp_path / "zero_budget.cfg").write_text("N_S = 0\netas = 0.9, 0.3\n")
+    (tmp_path / "nan_budget.cfg").write_text("N_S = nan\netas = 0.9, 0.3\n")
+    (tmp_path / "negative_seed_mc.cfg").write_text(NEGATIVE_SEED_MC)
+    (tmp_path / "negative_seed_phase.cfg").write_text(NEGATIVE_SEED_PHASE)
     monkeypatch.chdir(tmp_path)
     assert run(args + ["--out", tmp_path / "x.csv"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+NEGATIVE_SEED_MC = "seed = -1\n[case]\nM = 2\nN_S = 1\ntrials = 10\n"
+NEGATIVE_SEED_PHASE = "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\nseed = -1\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("monte-carlo", NEGATIVE_SEED_MC), ("phase", NEGATIVE_SEED_PHASE),
+], ids=["monte-carlo", "phase"])
+def test_negative_config_seed_names_the_key(tmp_path, capsys, command, text):
+    config = tmp_path / "seed.cfg"
+    config.write_text(text)
+    assert run([command, "--config", config, "--out", tmp_path / "x.csv"]) == 1
+    assert "bad value for 'seed'" in capsys.readouterr().err

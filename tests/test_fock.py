@@ -107,3 +107,29 @@ def test_operators_match_expm_of_truncated_generators(cutoff):
     for r in (-1.1, -0.3, 0.0, 0.45, 1.2):
         want = expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
         assert np.abs(fock.squeeze_operator(r, cutoff) - want).max() < 1e-12
+
+
+def test_validate_density_rejects_non_psd():
+    # Hermitian, unit trace, empty top level, eigenvalues 1 + eps and -eps.
+    for eps in (1e-9, 1e-6):
+        mat = np.zeros((6, 6), dtype=complex)
+        mat[:2, :2] = [[0.5, 0.5 + eps], [0.5 + eps, 0.5]]
+        with pytest.raises(ValueError, match="not PSD \\(min eig"):
+            fock._validate_density(mat, fock.TRACE_TOL)
+    mat[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+    fock._validate_density(mat, fock.TRACE_TOL)
+
+
+def test_gaussian_to_fock_matches_dense_products():
+    cov = np.array([[0.6, 0.2], [0.2, 0.3]])
+    state = g.GaussianState(np.array([0.4, -0.3]), cov)
+    cutoff = 60
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    nbar = (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0
+    r = 0.25 * np.log(eigvals[1] / eigvals[0])
+    theta = np.arctan2(-eigvecs[1, 0], eigvecs[0, 0])
+    u = (fock.displacement_operator(0.4 - 0.3j, cutoff)
+         @ np.diag(fock.rotation_phases(theta, cutoff))
+         @ fock.squeeze_operator(r, cutoff))
+    rho = u @ np.diag(fock.thermal_populations(nbar, cutoff)) @ u.conj().T
+    assert np.abs(fock.gaussian_to_fock(state, cutoff).matrix - rho).max() < 1e-13

@@ -133,6 +133,8 @@ def test_loss_examples():
     with pytest.raises(ValueError):
         g.LossChannel(np.array([1.1]))
     with pytest.raises(ValueError):
+        g.LossChannel(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
         g.apply_loss(g.vacuum_state(2), g.LossChannel(np.array([0.5, 0.5, 0.5])))
 
 
@@ -230,3 +232,54 @@ def test_serialization_roundtrip(rng):
     again = g.GaussianState.from_dict(state.to_dict())
     assert np.allclose(again.mean, state.mean)
     assert np.allclose(again.cov, state.cov)
+
+
+@pytest.mark.parametrize("m", [2, 3, 17, 200])
+def test_complete_orthogonal_random_and_near_e1_rows(rng, m):
+    rows = [rng.standard_normal(m), rng.uniform(0.0, 1.0, m), -rng.uniform(0.0, 1.0, m),
+            np.concatenate([[0.0], rng.uniform(0.1, 1.0, m - 1)])]
+    for scale in (1e-3, 1e-9, 0.0):
+        near = np.zeros(m)
+        near[0] = 1.0
+        near[1:] = scale * rng.standard_normal(m - 1)
+        rows += [near, -near]
+    for u in rows:
+        o = g.complete_orthogonal(u)
+        assert np.abs(o[0] - u / np.linalg.norm(u)).max() <= 1e-13
+        assert np.abs(o @ o.T - np.eye(m)).max() <= 1e-13
+
+
+def _pure_network_cov(num_modes):
+    state = g.tensor(g.squeezed_vacuum(4.0), g.vacuum_state(num_modes - 1))
+    return g.apply_symplectic(state, g.balanced_splitter(num_modes)).cov
+
+
+@pytest.mark.parametrize("num_modes", [1, 5])
+def test_uncertainty_check_boundary(num_modes):
+    # A pure state's cov + (i/4) Omega has eigenvalue 0, so subtracting
+    # delta I leaves min eig -delta; the tolerance is 1e-10.
+    cov = 0.25 * np.eye(2) if num_modes == 1 else _pure_network_cov(num_modes)
+    mean = np.zeros(2 * num_modes)
+    for delta, shown in [(2.2e-10, "-2.200e-10"), (4e-10, "-4.000e-10")]:
+        with pytest.raises(ValueError, match=f"uncertainty principle \\(min eig {shown}\\)"):
+            g.GaussianState(mean, cov - delta * np.eye(2 * num_modes))
+    g.GaussianState(mean, cov - 5e-11 * np.eye(2 * num_modes))
+
+
+@pytest.mark.parametrize("num_modes", [2, 50, 200])
+def test_pure_networks_at_the_squeezing_cap_are_physical(rng, num_modes):
+    for axis in ("x", "p"):
+        state = g.apply_symplectic(
+            g.tensor(g.squeezed_vacuum(1e4, axis), g.vacuum_state(num_modes - 1)),
+            g.unbalanced_splitter(rng.uniform(0.1, 1.0, num_modes)),
+        )
+        assert state.mean_photon_number() == pytest.approx(1e4, rel=1e-9)
+
+
+def test_psd_violation_reports_only_eigenvalues_below_tolerance():
+    assert g.psd_violation(np.diag([1.0, 0.0]), 1e-10) is None
+    assert g.psd_violation(np.diag([1.0, -5e-11]), 1e-10) is None
+    assert g.psd_violation(np.diag([1.0, -3e-10]), 1e-10) == pytest.approx(-3e-10)
+    herm = np.array([[0.5, 0.5j], [-0.5j, 0.5]])  # eigenvalues 1 and 0
+    assert g.psd_violation(herm, 1e-10) is None
+    assert g.psd_violation(herm - 1e-9 * np.eye(2), 1e-10) == pytest.approx(-1e-9)

@@ -28,6 +28,10 @@ def test_domain_errors():
         pr.entangled_rms_error(2, -1.0, 1.0)
     with pytest.raises(ValueError):
         pr.product_rms_error(2, 1.0, 0.0)
+    for args in [(2, np.nan, 0.9), (2, np.inf, 0.9), (2, 1.0, np.nan), (np.nan, 1.0, 0.9)]:
+        for formula in (pr.entangled_rms_error, pr.product_rms_error):
+            with pytest.raises(ValueError):
+                formula(*args)
 
 
 def test_sensitivity_ratio():
@@ -177,6 +181,10 @@ def test_config_validation():
         pr.SensorNetworkConfig(2, 1.0, weights=np.array([0.9, 0.2]))
     with pytest.raises(ValueError):
         pr.SensorNetworkConfig(2, 1.0, eta=np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError):
+        pr.SensorNetworkConfig(2, np.nan)
+    with pytest.raises(ValueError):
+        pr.SensorNetworkConfig(2, 1.0, eta=np.array([0.5, np.nan]))
 
 
 def test_scaling_exponent():
@@ -242,3 +250,14 @@ def test_phase_guard():
 def test_known_discrepancy_note():
     notes = pr.known_discrepancies()
     assert any("8 dB" in note for note in notes)
+
+
+def test_dense_route_with_a_tiny_last_weight():
+    # A tiny late weight leaves a standard basis vector nearly parallel to the
+    # splitter's first row; the completion must stay orthogonal to 1e-10.
+    weights = np.array([1.0, 1.0, 1e-7]) / (2.0 + 1e-7)
+    for n_s in (1.0, 5.0, 20.0):
+        cfg = pr.SensorNetworkConfig(3, n_s, eta=0.5, weights=weights)
+        assert pr.analytic_config_rms(cfg) == pytest.approx(
+            pr.analytic_rms_for_scheme(cfg), rel=0.0, abs=1e-12
+        )
