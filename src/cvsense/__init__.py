@@ -20,7 +20,6 @@ from .gaussian import (  # noqa: F401
     balanced_splitter,
     coherent_state,
     displace_all,
-    homodyne_sample,
     homodyne_samples,
     squeezed_vacuum,
     tensor,

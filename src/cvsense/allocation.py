@@ -28,6 +28,11 @@ def _check_etas(etas):
         raise ValueError("transmissivities must lie in (0, 1]")
 
 
+def _check_budget(total_photons):
+    if not 0 <= total_photons < np.inf:  # nan fails this too
+        raise ValueError("photon budget must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class WeightedNetwork:
     """M nodes with estimator weights, per-node transmissivities and a photon budget."""
@@ -47,8 +52,7 @@ class WeightedNetwork:
         if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("weights must be nonnegative and sum to 1")
         _check_etas(etas)
-        if not 0 <= self.total_photons < np.inf:
-            raise ValueError("photon budget must be finite and nonnegative")
+        _check_budget(self.total_photons)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "etas", etas)
         self.weights.setflags(write=False)
@@ -171,6 +175,7 @@ def optimal_weights_entangled(etas, total_photons):
     """
     etas = np.asarray(etas, dtype=float)
     _check_etas(etas)
+    _check_budget(total_photons)
     inv = 1.0 / noise_kernel(etas, total_photons)
     return inv / inv.sum()
 

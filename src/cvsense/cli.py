@@ -173,21 +173,18 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, o
     if (photons_per_node is None) == (total_photons is None):
         raise click.UsageError("specify exactly one of --photons-per-node / --total-photons")
     schemes = ["entangled", "product"] if scheme == "both" else [scheme]
-    notes = []
+    formulas = {"entangled": protocols.entangled_rms_error,
+                "product": protocols.product_rms_error}
+    ms = _log_spaced(m_min, m_max)
+    n_s = total_photons if total_photons is not None else photons_per_node * ms
+    per_node = n_s / ms
+    notes = [protocols.SQUEEZING_CAP_NOTE] if np.any(n_s > protocols.SQUEEZING_CAP_PHOTONS) else []
     rows = []
     for eta in etas:
-        for m in _log_spaced(m_min, m_max):
-            n_s = total_photons if total_photons is not None else photons_per_node * m
-            per_node = n_s / m
-            if n_s > protocols.SQUEEZING_CAP_PHOTONS and not notes:
-                notes.append(protocols.SQUEEZING_CAP_NOTE)
-            for sch in schemes:
-                formula = (
-                    protocols.entangled_rms_error
-                    if sch == "entangled"
-                    else protocols.product_rms_error
-                )
-                rows.append((m, float(formula(m, n_s, eta)), sch, eta, per_node))
+        curves = [formulas[sch](ms, n_s, eta) for sch in schemes]
+        for i, m in enumerate(ms):
+            for sch, curve in zip(schemes, curves):
+                rows.append((m, float(curve[i]), sch, eta, per_node[i]))
     body = _write_csv(out, ["M", "delta_alpha", "scheme", "eta", "n_S"], rows)
     _write_manifest(out, None, body, notes)
 
@@ -208,20 +205,17 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
     rows = []
     if mode == "vs-M":
         header = ["M", "ratio_db", "eta", "N_S"]
+        ms = _log_spaced(m_min, m_max)
         for eta in etas:
-            for m in _log_spaced(m_min, m_max):
-                rows.append(
-                    (m, float(protocols.sensitivity_ratio_db(m, total_photons, eta)), eta, total_photons)
-                )
+            ratios = protocols.sensitivity_ratio_db(ms, total_photons, eta)
+            rows += [(m, float(r), eta, total_photons) for m, r in zip(ms, ratios)]
     else:
         header = ["loss_db", "ratio_db", "M", "N_S"]
         loss_grid = np.linspace(0.0, loss_db_max, 101)
+        loss_etas = 10.0 ** (-loss_grid / 10.0)
         for m in node_counts:
-            for loss_db in loss_grid:
-                eta = 10.0 ** (-loss_db / 10.0)
-                rows.append(
-                    (float(loss_db), float(protocols.sensitivity_ratio_db(m, total_photons, eta)), m, total_photons)
-                )
+            ratios = protocols.sensitivity_ratio_db(m, total_photons, loss_etas)
+            rows += [(float(db), float(r), m, total_photons) for db, r in zip(loss_grid, ratios)]
     body = _write_csv(out, header, rows)
     _write_manifest(out, None, body, notes=protocols.known_discrepancies())
 

@@ -300,7 +300,8 @@ def displace_all(state, alpha):
     return GaussianState(mean, state.cov)
 
 
-def _sampling_factor(cov_block):
+def sampling_factor(cov_block):
+    """F with F F^T = cov_block, from eigh; raises if cov_block is not PSD."""
     eigvals, eigvecs = np.linalg.eigh(cov_block)
     if eigvals.min() < -EIGENVALUE_FLOOR:
         raise ValueError(
@@ -309,19 +310,15 @@ def _sampling_factor(cov_block):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def homodyne_samples(state, quadrature, num_samples, rng):
-    """num_samples joint homodyne outcomes, shape (num_samples, M).
+def homodyne_samples(mean, factor, rng, normals, out):
+    """Fill out, shape (n, M), with n joint homodyne outcomes and return it.
 
-    Outcomes are draws from the Gaussian marginal of the selected
-    quadrature block; reproducible given the caller's rng.
+    The outcomes are draws from the Gaussian marginal of the measured
+    quadratures: mean (length M) and the sampling_factor of their covariance.
+    normals is caller-owned scratch of out's shape, so a caller that reuses
+    both buffers allocates nothing per call; reproducible given rng.
     """
-    if quadrature not in ("x", "p"):
-        raise ValueError("quadrature must be 'x' or 'p'")
-    factor = _sampling_factor(state.cov_block(quadrature))
-    z = rng.standard_normal((num_samples, state.num_modes))
-    return state.mean_block(quadrature) + z @ factor.T
-
-
-def homodyne_sample(state, quadrature, rng):
-    """One joint homodyne outcome across all M modes."""
-    return homodyne_samples(state, quadrature, 1, rng)[0]
+    rng.standard_normal(out=normals)
+    np.matmul(normals, factor.T, out=out)
+    out += mean
+    return out

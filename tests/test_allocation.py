@@ -33,6 +33,12 @@ def test_network_validation():
         al.optimal_weights_entangled(np.array([0.9, np.nan]), 4.0)
 
 
+@pytest.mark.parametrize("n_s", [np.nan, -1.0, np.inf])
+def test_optimal_weights_entangled_rejects_bad_budget(n_s):
+    with pytest.raises(ValueError, match="photon budget"):
+        al.optimal_weights_entangled(np.array([0.9, 0.3]), n_s)
+
+
 def test_uniform_reductions():
     # Equal weights and a common eta reduce to the two-scheme closed forms.
     for m, n_s, eta in [(2, 1.0, 1.0), (5, 4.0, 0.8), (20, 10.0, 0.9)]:

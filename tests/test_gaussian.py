@@ -183,10 +183,17 @@ def test_displace_all_and_ordering():
     assert disp_then_loss.mean[0] == pytest.approx(np.sqrt(eta) * 1.3)
 
 
+def _homodyne(state, quadrature, num_samples, rng):
+    """num_samples joint outcomes of one quadrature block, in freshly allocated buffers."""
+    out = np.empty((num_samples, state.num_modes))
+    factor = g.sampling_factor(state.cov_block(quadrature))
+    return g.homodyne_samples(state.mean_block(quadrature), factor, rng, np.empty_like(out), out)
+
+
 def test_homodyne_sampling_statistics():
     rng = np.random.default_rng(42)
     vac = g.vacuum_state(1)
-    draws = g.homodyne_samples(vac, "x", 1_000_000, rng)
+    draws = _homodyne(vac, "x", 1_000_000, rng)
     assert abs(draws.mean()) < 3.0 * 0.5 / 1e3
     assert draws.var() == pytest.approx(0.25, rel=0.01)
 
@@ -196,7 +203,7 @@ def test_homodyne_entangled_mean_variance():
 
     rng = np.random.default_rng(7)
     state = build_entangled_input(4, 4.0)
-    draws = g.homodyne_samples(state, "x", 1_000_000, rng)
+    draws = _homodyne(state, "x", 1_000_000, rng)
     est = draws.mean(axis=1)
     target = 1.0 / (16.0 * (np.sqrt(5.0) + 2.0) ** 2)  # 3.4826e-3
     assert est.var() == pytest.approx(target, rel=0.01)
@@ -205,7 +212,7 @@ def test_homodyne_entangled_mean_variance():
 def test_homodyne_covariance_consistency(rng):
     state = random_gaussian_state(rng, 3)
     n = 100_000
-    draws = g.homodyne_samples(state, "x", n, np.random.default_rng(5))
+    draws = _homodyne(state, "x", n, np.random.default_rng(5))
     emp = np.cov(draws.T)
     ana = state.cov_block("x")
     # Standard error of each covariance entry for Gaussian data.
@@ -214,10 +221,19 @@ def test_homodyne_covariance_consistency(rng):
 
 
 def test_homodyne_reproducible():
-    state = g.vacuum_state(2)
-    a = g.homodyne_sample(state, "x", np.random.default_rng(9))
-    b = g.homodyne_sample(state, "x", np.random.default_rng(9))
+    state = g.displace_all(g.vacuum_state(2), 0.3)
+    a = _homodyne(state, "x", 3, np.random.default_rng(9))
+    b = _homodyne(state, "x", 3, np.random.default_rng(9))
     assert np.array_equal(a, b)
+    # Refilling the same buffers draws the stream's next outcomes.
+    factor = g.sampling_factor(state.cov_block("x"))
+    normals, out = np.empty((2, 2)), np.empty((2, 2))
+    rng = np.random.default_rng(9)
+    first = g.homodyne_samples(state.mean_block("x"), factor, rng, normals, out).copy()
+    second = g.homodyne_samples(state.mean_block("x"), factor, rng, normals, out)
+    assert second is out
+    both = _homodyne(state, "x", 4, np.random.default_rng(9))
+    assert np.array_equal(np.vstack([first, second]), both)
 
 
 def test_state_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,36 @@ def test_monte_carlo_determinism():
     b = pr.simulate_displacement_protocol(pr.SensorNetworkConfig(**cfg))
     assert a.empirical_mean == b.empirical_mean
     assert a.empirical_rms_error == b.empirical_rms_error
+
+
+def test_campaign_does_not_depend_on_the_chunk_size(monkeypatch):
+    # PCG64 fills normals in stream order, so only the summation order changes.
+    def run():
+        cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, alpha_true=0.05, seed=77, trials=10_001)
+        phase = pr.simulate_phase_protocol(2, 2.0, 100.0, 0.9, 0.01, 10_001, seed=31)
+        return [pr.simulate_displacement_protocol(cfg), phase]
+
+    default = run()
+    monkeypatch.setattr(pr, "CHUNK_NORMALS", 7)
+    for chunked, whole in zip(run(), default):
+        assert chunked.empirical_mean == pytest.approx(whole.empirical_mean, rel=1e-12, abs=0.0)
+        assert chunked.empirical_rms_error == pytest.approx(
+            whole.empirical_rms_error, rel=1e-12, abs=0.0
+        )
+
+
+def test_campaign_working_memory_is_one_chunk():
+    # The M = 200 state and its checks take about 12 MB; one (trials, M)
+    # array of 2e4 trials alone would take 32 MB.
+    cfg = pr.SensorNetworkConfig(200, 10.0, 0.9, seed=3, trials=20_000)
+    tracemalloc.start()
+    try:
+        report = pr.simulate_displacement_protocol(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert report.agreement_sigmas() < 4.0
 
 
 def test_config_validation():
