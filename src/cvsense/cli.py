@@ -251,7 +251,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
                 weights=np.asarray(case["weights"]) if "weights" in case else None,
                 scheme=case.get("scheme", "entangled"),
                 alpha_true=case.get("alpha", 0.0),
-                seed=base_seed + index,
+                seed=(base_seed, index),
                 trials=case_trials,
             )
         except (KeyError, ValueError) as exc:
@@ -400,7 +400,7 @@ def cmd_phase(config_path, seed, trials, out):
     for index, dphi in enumerate(dphis):
         try:
             report = protocols.simulate_phase_protocol(
-                m, n_s, n_v, eta, dphi, run_trials, run_seed + index
+                m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
             )
         except ValueError as exc:
             raise click.UsageError(str(exc))

@@ -113,9 +113,12 @@ def fisher_numeric(params, eta, epsilons=DEFAULT_EPSILONS, displacement=0.0):
     if np.any(eps <= 1e-6) or np.any(eps >= 1e-1):
         raise ValueError("epsilon values must lie in (1e-6, 1e-1)")
     base = lossy_state(params, eta, displacement)
+    # The shifted states share base's covariance; each mean is lossy_state's
+    # sqrt(eta) mean + [displacement + e, 0] with the same arithmetic.
+    scaled_mean = np.sqrt(eta) * params.mean
     quotients = []
     for e in eps:
-        shifted = lossy_state(params, eta, displacement + e)
+        shifted = GaussianState(scaled_mean + np.array([displacement + e, 0.0]), base.cov)
         fid = gaussian_fidelity(base, shifted)
         quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
     diffs = np.diff(quotients)

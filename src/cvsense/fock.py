@@ -20,6 +20,7 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-8
 TAIL_TOL = 1e-6
+EIG_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,32 @@ class FockOperator:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "cutoff", mat.shape[0])
         self.matrix.setflags(write=False)
+
+    @classmethod
+    def from_factor(cls, factor):
+        """The operator X X^dag, keeping X as its factor: not copied, made read-only."""
+        x = np.asarray(factor, dtype=complex)
+        op = cls(x @ x.conj().T)
+        x.setflags(write=False)
+        op.__dict__["factor"] = x  # fills the cached property below
+        return op
+
+    @functools.cached_property
+    def factor(self):
+        """X with X X^dag = matrix; raises if the matrix is not PSD.
+
+        Built on first use from eigh of the Hermitian part, unless the
+        operator came from from_factor.
+        """
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.conj().T))
+        if eigvals.min() < -PSD_TOL:
+            raise ValueError(f"operator is not PSD (min eig {eigvals.min():.3e})")
+        # Zero the roundoff-level eigenvalues: sqrt amplifies 1e-16 noise to
+        # 1e-8 per level, which would dominate the fidelity error budget.
+        eigvals = np.where(eigvals < EIG_FLOOR, 0.0, eigvals)
+        x = eigvecs * np.sqrt(eigvals)
+        x.setflags(write=False)
+        return x
 
     def trace(self):
         return complex(np.trace(self.matrix))
@@ -143,38 +170,25 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     theta = float(np.arctan2(-v1[1], v1[0]))
     beta = state.mean[0] + 1j * state.mean[1]
 
-    # D R is D with its columns scaled by R's diagonal, and u rho_thermal u^dag
-    # is (u scaled by the populations) u^dag.
-    u = (displacement_operator(beta, cutoff) * rotation_phases(theta, cutoff)) \
+    # D R is D with its columns scaled by R's diagonal.  With u = D R S,
+    # u rho_thermal u^dag is X X^dag for X = u with its columns scaled by the
+    # square roots of the populations, formed in place.
+    x = (displacement_operator(beta, cutoff) * rotation_phases(theta, cutoff)) \
         @ squeeze_operator(r, cutoff)
-    rho = (u * thermal_populations(nbar, cutoff)) @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    _validate_density(rho, trace_tol)
-    return FockOperator(rho)
-
-
-EIG_FLOOR = 1e-14
-
-
-def _psd_sqrt(mat):
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    if eigvals.min() < -PSD_TOL:
-        raise ValueError(f"operator is not PSD (min eig {eigvals.min():.3e})")
-    # Zero the roundoff-level eigenvalues: sqrt amplifies 1e-16 noise to
-    # 1e-8 per level, which would dominate the fidelity error budget.
-    eigvals = np.where(eigvals < EIG_FLOOR, 0.0, eigvals)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+    x *= np.sqrt(thermal_populations(nbar, cutoff))
+    op = FockOperator.from_factor(x)
+    _validate_density(op.matrix, trace_tol)
+    return op
 
 
 def fock_fidelity(a, b):
-    """Uhlmann fidelity [Tr sqrt(sqrt(a) b sqrt(a))]^2 via eigendecompositions."""
+    """Uhlmann fidelity [Tr sqrt(sqrt(a) b sqrt(a))]^2 from the operators' factors.
+
+    For any X X^dag = a and Y Y^dag = b the fidelity is the squared trace
+    norm of Y^dag X, the squared sum of its singular values (Jozsa,
+    J. Mod. Opt. 41, 2315 (1994)), so no matrix square root is taken.
+    """
     if a.cutoff != b.cutoff:
         raise ValueError("operators must share a cutoff")
-    sqrt_a = _psd_sqrt(0.5 * (a.matrix + a.matrix.conj().T))
-    inner = sqrt_a @ (0.5 * (b.matrix + b.matrix.conj().T)) @ sqrt_a
-    inner = 0.5 * (inner + inner.conj().T)
-    eigvals = np.linalg.eigvalsh(inner)
-    if eigvals.min() < -PSD_TOL:
-        raise ValueError("fidelity inner operator is not PSD")
-    eigvals = np.where(eigvals < EIG_FLOOR, 0.0, eigvals)
-    return float(np.sum(np.sqrt(eigvals)) ** 2)
+    singular = np.linalg.svd(b.factor.conj().T @ a.factor, compute_uv=False)
+    return float(np.sum(singular) ** 2)

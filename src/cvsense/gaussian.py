@@ -32,15 +32,20 @@ def psd_violation(herm, tol):
     A Cholesky factor of herm + tol I exists when every eigenvalue of herm
     exceeds -tol, which settles almost every call; eigvalsh runs only when
     the factorization fails, to decide at round-off and report the eigenvalue.
+    The shift is made on herm's diagonal in place and undone before return,
+    so herm reads the same afterwards and no shifted copy is allocated.
     """
-    shifted = herm.copy()
-    shifted.flat[:: herm.shape[0] + 1] += tol
+    diag = herm.diagonal().copy()
+    herm.flat[:: herm.shape[0] + 1] += tol
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(herm)
         return None
     except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(herm).min()
-        return min_eig if min_eig < -tol else None
+        pass
+    finally:
+        herm.flat[:: herm.shape[0] + 1] = diag
+    min_eig = np.linalg.eigvalsh(herm).min()
+    return min_eig if min_eig < -tol else None
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,13 @@ class GaussianState:
         if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("covariance matrix is not symmetric")
         cov = 0.5 * (cov + cov.T)
-        # Uncertainty principle: cov + (i/4) Omega >= 0.
-        min_eig = psd_violation(cov + 0.25j * symplectic_form(m), UNCERTAINTY_TOL)
+        # Uncertainty principle: cov + (i/4) Omega >= 0, checked in one buffer.
+        herm = np.zeros((2 * m, 2 * m), dtype=complex)
+        herm.real = cov
+        idx = np.arange(m)
+        herm.imag[idx, idx + m] = 0.25
+        herm.imag[idx + m, idx] = -0.25
+        min_eig = psd_violation(herm, UNCERTAINTY_TOL)
         if min_eig is not None:
             raise ValueError(
                 f"covariance violates the uncertainty principle (min eig {min_eig:.3e})"
@@ -121,8 +131,13 @@ class SymplecticTransform:
         if disp.shape != (mat.shape[0],):
             raise ValueError("displacement length does not match matrix dimension")
         m = mat.shape[0] // 2
-        omega = symplectic_form(m)
-        if np.abs(mat @ omega @ mat.T - omega).max() > SYMPLECTIC_TOL:
+        # S Omega S^T = P - P^T with P = S[:, :m] S[:, m:]^T; it must equal Omega.
+        half = mat[:, :m] @ mat[:, m:].T
+        gap = half - half.T
+        idx = np.arange(m)
+        gap[idx, idx + m] -= 1.0
+        gap[idx + m, idx] += 1.0
+        if np.abs(gap).max() > SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "displacement", disp)

@@ -124,7 +124,7 @@ class SensorNetworkConfig:
     weights: np.ndarray | None = None
     scheme: str = "entangled"
     alpha_true: float = 0.0
-    seed: int = 0
+    seed: int | tuple = 0  # SeedSequence entropy: an int or a tuple of ints
     trials: int = 100_000
 
     def __post_init__(self):

@@ -99,6 +99,18 @@ def test_monte_carlo_determinism(tmp_path, configs_dir):
     assert manifest(out1)["csv_sha256"] == manifest(out2)["csv_sha256"]
 
 
+def test_neighbouring_seeds_draw_different_streams(tmp_path):
+    # Case i of seed s and case i - 1 of seed s + 1 once shared seed s + i.
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text("trials = 2000\n" + "[case]\nM = 2\nN_S = 1\n" * 2)
+    means = {}
+    for seed in (0, 1):
+        out = tmp_path / f"mc{seed}.csv"
+        assert run(["monte-carlo", "--config", cfg, "--seed", seed, "--out", out]) == 0
+        means[seed] = [r["empirical_mean"] for r in csv_rows(out)[1]]
+    assert len({*means[0], *means[1]}) == 4
+
+
 def test_monte_carlo_bad_configs(tmp_path, configs_dir):
     out = tmp_path / "mc.csv"
     empty = tmp_path / "empty.cfg"

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from cvsense import fock
+from cvsense import fisher, fock
 from cvsense import gaussian as g
 
 
@@ -133,3 +133,42 @@ def test_gaussian_to_fock_matches_dense_products():
          @ fock.squeeze_operator(r, cutoff))
     rho = u @ np.diag(fock.thermal_populations(nbar, cutoff)) @ u.conj().T
     assert np.abs(fock.gaussian_to_fock(state, cutoff).matrix - rho).max() < 1e-13
+
+
+def _random_single_mode(rng):
+    radius, phase = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+    params = fisher.SqueezedThermalParams(
+        r=rng.uniform(0.0, 1.2), n=rng.uniform(0.0, 0.5), theta=rng.uniform(0.0, np.pi),
+        mean=radius * np.array([np.cos(phase), np.sin(phase)]),
+    )
+    return params.to_state()
+
+
+def test_fidelity_matches_closed_form_on_random_states(rng):
+    # At cutoff 60 the truncation alone moves the fidelity by up to 3e-7 at
+    # the corner r = 1.2, n = 0.5, |mean| = 1 of this range; at cutoff 100
+    # it stays below 1e-11 there, so the 1e-9 bound tests the method.
+    cutoff = 100
+    for _ in range(40):
+        a, b = _random_single_mode(rng), _random_single_mode(rng)
+        got = fock.fock_fidelity(fock.gaussian_to_fock(a, cutoff), fock.gaussian_to_fock(b, cutoff))
+        assert got == pytest.approx(fisher.gaussian_fidelity(a, b), abs=1e-9)
+
+
+def test_raw_operator_factor_reproduces_matrix():
+    rho = fock.gaussian_to_fock(g.GaussianState(np.array([0.3, -0.2]), 0.3 * np.eye(2)), 40)
+    raw = fock.FockOperator(np.array(rho.matrix))
+    assert np.abs(raw.factor @ raw.factor.conj().T - raw.matrix).max() < 1e-13
+    assert np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max() == 0.0
+    assert fock.fock_fidelity(raw, rho) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fidelity_rejects_non_psd_raw_operator():
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[:2, :2] = [[0.5, 0.5 + 1e-6], [0.5 + 1e-6, 0.5]]  # eigenvalues 1 + 1e-6 and -1e-6
+    bad = fock.FockOperator(mat)
+    good = fock.gaussian_to_fock(g.vacuum_state(1), 6)
+    with pytest.raises(ValueError, match="not PSD"):
+        fock.fock_fidelity(good, bad)
+    with pytest.raises(ValueError, match="not PSD"):
+        fock.fock_fidelity(bad, good)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,57 @@ def test_psd_violation_reports_only_eigenvalues_below_tolerance():
     herm = np.array([[0.5, 0.5j], [-0.5j, 0.5]])  # eigenvalues 1 and 0
     assert g.psd_violation(herm, 1e-10) is None
     assert g.psd_violation(herm - 1e-9 * np.eye(2), 1e-10) == pytest.approx(-1e-9)
+
+
+def test_psd_violation_leaves_its_argument_unchanged():
+    # The tolerance shift is made in place; both outcomes must undo it exactly.
+    for herm in (np.array([[0.5, 0.5j], [-0.5j, 0.5]]),  # passes the factorization
+                 np.diag([1.0 / 3.0, -3e-10]),  # fails it and reports
+                 np.diag([0.1, -5e-11])):  # fails it, eigvalsh settles it
+        before = herm.copy()
+        g.psd_violation(herm, 1e-10)
+        assert np.array_equal(herm, before)
+
+
+def test_state_check_peak_memory_is_bounded():
+    # Symmetrised covariance, one complex buffer for cov + (i/4) Omega and
+    # its Cholesky factor: 5x the covariance.  Building Omega, (i/4) Omega,
+    # the sum and a shifted copy instead peaks at 7x.
+    m = 200
+    cov = _pure_network_cov(m)
+    mean = np.zeros(2 * m)
+    tracemalloc.start()
+    try:
+        g.GaussianState(mean, cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * cov.nbytes
+
+
+def _random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_symplectic_transforms_accepted(rng):
+    for m in (1, 7, 200):
+        g.passive_transform(_random_unitary(rng, m))
+    g.balanced_splitter(200)
+    g.unbalanced_splitter(rng.uniform(0.1, 1.0, 200))
+
+
+def _x_only_rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    mat = np.eye(4)
+    mat[:2, :2] = [[c, s], [-s, c]]
+    return mat
+
+
+def test_non_symplectic_matrices_rejected(rng):
+    splitter = g.balanced_splitter(200).matrix
+    for mat in (1.001 * np.eye(6),
+                _x_only_rotation(0.3),
+                splitter + 1e-8 * rng.standard_normal(splitter.shape)):
+        with pytest.raises(ValueError, match="not symplectic"):
+            g.SymplecticTransform(mat, np.zeros(mat.shape[0]))

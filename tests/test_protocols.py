@@ -191,7 +191,7 @@ def test_campaign_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_campaign_working_memory_is_one_chunk():
-    # The M = 200 state and its checks take about 12 MB; one (trials, M)
+    # The M = 200 state and its checks take about 10 MB; one (trials, M)
     # array of 2e4 trials alone would take 32 MB.
     cfg = pr.SensorNetworkConfig(200, 10.0, 0.9, seed=3, trials=20_000)
     tracemalloc.start()
