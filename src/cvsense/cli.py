@@ -43,7 +43,11 @@ class FiniteFloatRange(click.FloatRange):
 PHOTONS = FiniteFloatRange(min=0.0)
 ETA = FiniteFloatRange(0.0, 1.0, min_open=True)
 NODES = click.IntRange(min=1)
-SEED = click.IntRange(min=0)
+# Case i of a run draws from SeedSequence([seed, i]).  numpy splits a seed of
+# 2^32 or more into 32-bit words, so [2^32 + 1, 0] would draw the stream of
+# [1, 1]; with one word per seed every (seed, case) stream is distinct.
+SEED_MAX = 2**32 - 1
+SEED = click.IntRange(0, SEED_MAX)
 
 
 class StatisticalFailure(Exception):
@@ -144,8 +148,8 @@ def _float_list(value):
 
 def _seed(value):
     seed = int(value)
-    if seed < 0:
-        raise ValueError("must be >= 0")
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"must lie in [0, {SEED_MAX}]")
     return seed
 
 

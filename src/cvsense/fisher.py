@@ -34,7 +34,7 @@ class SqueezedThermalParams:
     mean: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        if self.r < 0 or self.n < 0:
+        if not (self.r >= 0 and self.n >= 0):  # nan fails this too
             raise ValueError("squeeze and thermal parameters must be nonnegative")
         mean = np.asarray(self.mean, dtype=float)
         if mean.shape != (2,):
@@ -74,16 +74,20 @@ def gaussian_fidelity(a, b):
     """Closed-form Uhlmann fidelity of two single-mode Gaussian states."""
     if a.num_modes != 1 or b.num_modes != 1:
         raise ValueError("closed-form fidelity handles single-mode states only")
-    v1, v2 = a.cov, b.cov
-    vsum = v1 + v2
+    return _fidelity(a.mean, a.cov, b.mean, b.cov)
+
+
+def _fidelity(mean_a, cov_a, mean_b, cov_b):
+    """gaussian_fidelity on the states' arrays: 2-vector means, 2 x 2 covariances."""
+    vsum = cov_a + cov_b
     big = 4.0 * np.linalg.det(vsum)
-    small = (16.0 * np.linalg.det(v1) - 1.0) * (16.0 * np.linalg.det(v2) - 1.0) / 4.0
-    if small < 0.0:
+    small = (16.0 * np.linalg.det(cov_a) - 1.0) * (16.0 * np.linalg.det(cov_b) - 1.0) / 4.0
+    if not (small >= 0.0):
         # Pure states sit exactly on this branch point; clamp roundoff.
-        if small < -PURITY_CLAMP:
+        if not (small >= -PURITY_CLAMP):
             raise ValueError("covariance violates the purity bound")
         small = 0.0
-    du = b.mean - a.mean
+    du = mean_b - mean_a
     expo = np.exp(-0.5 * du @ np.linalg.solve(vsum, du))
     fid = expo / (np.sqrt(big + small) - np.sqrt(small))
     return float(min(fid, 1.0))
@@ -113,13 +117,14 @@ def fisher_numeric(params, eta, epsilons=DEFAULT_EPSILONS, displacement=0.0):
     if np.any(eps <= 1e-6) or np.any(eps >= 1e-1):
         raise ValueError("epsilon values must lie in (1e-6, 1e-1)")
     base = lossy_state(params, eta, displacement)
-    # The shifted states share base's covariance; each mean is lossy_state's
-    # sqrt(eta) mean + [displacement + e, 0] with the same arithmetic.
+    # The shifted states share base's validated covariance; each mean is
+    # lossy_state's sqrt(eta) mean + [displacement + e, 0] with the same
+    # arithmetic, so no state is built for them.
     scaled_mean = np.sqrt(eta) * params.mean
     quotients = []
     for e in eps:
-        shifted = GaussianState(scaled_mean + np.array([displacement + e, 0.0]), base.cov)
-        fid = gaussian_fidelity(base, shifted)
+        shifted = scaled_mean + np.array([displacement + e, 0.0])
+        fid = _fidelity(base.mean, base.cov, shifted, base.cov)
         quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
     diffs = np.diff(quotients)
     significant = np.abs(diffs) > 1e-9 * abs(quotients[0])

@@ -3,7 +3,7 @@
 Brute-force density matrices in the number basis, used to validate the
 phase-space machinery (fidelities, photon statistics) independently.
 Displacement and squeezing are exponentials of fixed real antisymmetric
-generators, evaluated through an eigenbasis cached per cutoff.
+generators, applied through a real eigenbasis cached per cutoff.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class FockOperator:
         operator came from from_factor.
         """
         eigvals, eigvecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.conj().T))
-        if eigvals.min() < -PSD_TOL:
+        if not (eigvals.min() >= -PSD_TOL):
             raise ValueError(f"operator is not PSD (min eig {eigvals.min():.3e})")
         # Zero the roundoff-level eigenvalues: sqrt amplifies 1e-16 noise to
         # 1e-8 per level, which would dominate the fidelity error budget.
@@ -80,33 +80,59 @@ def annihilation(cutoff):
 
 @functools.lru_cache(maxsize=16)
 def _generator_eigh(kind, cutoff):
-    """eigh(1j * G) of the truncated generator G, real and antisymmetric.
+    """(mu, g, W) with exp(t G) = g W diag(exp(-1j t mu)) W^T g* for every real t.
 
-    G = a^dag - a for "displacement" and (a^2 - a^dag^2)/2 for "squeeze";
-    then exp(t G) = V diag(exp(-1j t mu)) V^dag for every real t.
+    G = a^dag - a for "displacement" and (a^2 - a^dag^2)/2 for "squeeze",
+    real and antisymmetric with entries only at offsets +-1 or +-2.  The
+    diagonal gauge g_n = 1j**n (offsets +-1) or exp(1j pi n / 4) (offsets
+    +-2) makes g* (1j G) g real symmetric, so W from its eigh is real
+    orthogonal.
     """
     a = annihilation(cutoff).real
-    gen = a.T - a if kind == "displacement" else 0.5 * (a @ a - a.T @ a.T)
-    mu, vecs = np.linalg.eigh(1j * gen)
-    mu.setflags(write=False)
-    vecs.setflags(write=False)
-    return mu, vecs
+    n = np.arange(cutoff)
+    if kind == "displacement":
+        gen, gauge = a.T - a, 1j**n
+    else:
+        gen, gauge = 0.5 * (a @ a - a.T @ a.T), np.exp(0.25j * np.pi * n)
+    herm = (gauge.conj()[:, None] * (1j * gen) * gauge).real
+    mu, vecs = np.linalg.eigh(herm)
+    for arr in (mu, gauge, vecs):
+        arr.setflags(write=False)
+    return mu, gauge, vecs
 
 
-def _exp_generator(kind, t, cutoff):
-    mu, vecs = _generator_eigh(kind, cutoff)
-    return (vecs * np.exp(-1j * t * mu)) @ vecs.conj().T
+def _apply_generator(kind, t, block):
+    """exp(t G) @ block for a complex (cutoff, k) block, in place; returns block.
+
+    The products with the real eigenbasis W act on the block's (re, im)
+    float view, half the flops of a complex matmul.
+    """
+    mu, gauge, vecs = _generator_eigh(kind, block.shape[0])
+    block *= gauge.conj()[:, None]
+    rotated = (vecs.T @ block.view(float)).view(complex)
+    rotated *= np.exp(-1j * t * mu)[:, None]
+    np.matmul(vecs, rotated.view(float), out=block.view(float))
+    block *= gauge[:, None]
+    return block
+
+
+def _apply_displacement(beta, block):
+    """D(beta) @ block in place, D(beta) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
+    phase = np.exp(1j * np.angle(beta) * np.arange(block.shape[0]))
+    block *= phase.conj()[:, None]
+    _apply_generator("displacement", abs(beta), block)
+    block *= phase[:, None]
+    return block
 
 
 def displacement_operator(beta, cutoff):
-    """exp(beta a^dag - beta* a) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
-    phase = np.exp(1j * np.angle(beta) * np.arange(cutoff))
-    return phase[:, None] * _exp_generator("displacement", abs(beta), cutoff) * phase.conj()
+    """exp(beta a^dag - beta* a) in the number basis."""
+    return _apply_displacement(beta, np.eye(cutoff, dtype=complex))
 
 
 def squeeze_operator(r, cutoff):
     """Squeezes x for r > 0: Var(x) on vacuum becomes exp(-2r)/4."""
-    return _exp_generator("squeeze", r, cutoff)
+    return _apply_generator("squeeze", r, np.eye(cutoff, dtype=complex))
 
 
 def rotation_phases(theta, cutoff):
@@ -127,9 +153,10 @@ def thermal_populations(nbar, cutoff):
 
 
 def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
-    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+    # Each tolerance test is written so that nan fails it.
+    if not (np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > trace_tol:
+    if not (abs(np.trace(mat).real - 1.0) <= trace_tol):
         raise ValueError(
             f"trace deficit {abs(np.trace(mat).real - 1.0):.3e} exceeds "
             "tolerance; increase the Fock cutoff"
@@ -139,7 +166,7 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
     # population pushed against the truncation edge can.  A tail of t
     # perturbs downstream fidelities by O(t), hence the looser threshold.
     tail = float(np.real(mat[-1, -1]))
-    if tail > tail_tol:
+    if not (tail <= tail_tol):
         raise ValueError(
             f"top-level occupancy {tail:.3e} exceeds tolerance; "
             "increase the Fock cutoff"
@@ -152,9 +179,9 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
 def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     """Number-basis density matrix of a single-mode Gaussian state.
 
-    Built as D(beta) R(theta) S(r) rho_thermal S^dag R^dag D^dag from the
-    covariance eigendecomposition.  Raises when the truncation leaks more
-    than trace_tol of probability.
+    Built as X X^dag with X = D(beta) R(theta) S(r) sqrt(rho_thermal) from
+    the covariance eigendecomposition, keeping X as the operator's factor.
+    Raises when the truncation leaks more than trace_tol of probability.
     """
     if state.num_modes != 1:
         raise ValueError("Fock oracle handles single-mode states only")
@@ -170,12 +197,17 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     theta = float(np.arctan2(-v1[1], v1[0]))
     beta = state.mean[0] + 1j * state.mean[1]
 
-    # D R is D with its columns scaled by R's diagonal.  With u = D R S,
-    # u rho_thermal u^dag is X X^dag for X = u with its columns scaled by the
-    # square roots of the populations, formed in place.
-    x = (displacement_operator(beta, cutoff) * rotation_phases(theta, cutoff)) \
-        @ squeeze_operator(r, cutoff)
-    x *= np.sqrt(thermal_populations(nbar, cutoff))
+    # X = D R S diag(sqrt(p)) on the columns with sqrt(p_k) >= eps only: the
+    # populations fall with k, so they are the first k, and each dropped
+    # column has norm below eps, which moves rho by less than eps^2.  S, R
+    # and D act on that block in turn; none is formed as a matrix.
+    sqrt_p = np.sqrt(thermal_populations(nbar, cutoff))
+    kept = int(np.count_nonzero(sqrt_p >= np.finfo(float).eps))
+    x = np.zeros((cutoff, kept), dtype=complex)
+    x[np.arange(kept), np.arange(kept)] = sqrt_p[:kept]
+    _apply_generator("squeeze", r, x)
+    x *= rotation_phases(theta, cutoff)[:, None]
+    _apply_displacement(beta, x)
     op = FockOperator.from_factor(x)
     _validate_density(op.matrix, trace_tol)
     return op

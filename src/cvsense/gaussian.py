@@ -45,7 +45,7 @@ def psd_violation(herm, tol):
     finally:
         herm.flat[:: herm.shape[0] + 1] = diag
     min_eig = np.linalg.eigvalsh(herm).min()
-    return min_eig if min_eig < -tol else None
+    return min_eig if not (min_eig >= -tol) else None
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,17 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0:
             raise ValueError("mean must be a flat vector of even length")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         m = mean.size // 2
         if cov.shape != (2 * m, 2 * m):
             raise ValueError("covariance shape does not match mean length")
-        scale = max(1.0, np.abs(cov).max())
-        if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
+        # Each tolerance test is written so that nan fails it; the largest
+        # entry is nan or inf when any entry is.
+        largest = np.abs(cov).max()
+        scale = max(1.0, largest)
+        if not (np.isfinite(largest) and np.abs(cov - cov.T).max() <= SYMMETRY_RTOL * scale):
+            raise ValueError("covariance matrix is not finite and symmetric")
         cov = 0.5 * (cov + cov.T)
         # Uncertainty principle: cov + (i/4) Omega >= 0, checked in one buffer.
         herm = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -137,7 +142,7 @@ class SymplecticTransform:
         idx = np.arange(m)
         gap[idx, idx + m] -= 1.0
         gap[idx + m, idx] += 1.0
-        if np.abs(gap).max() > SYMPLECTIC_TOL:
+        if not (np.abs(gap).max() <= SYMPLECTIC_TOL):  # nan fails this too
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "displacement", disp)
@@ -174,13 +179,13 @@ def vacuum_state(num_modes):
 
 def squeeze_parameter(n_photons):
     """r with sinh^2(r) = n_photons, so Var(x) = exp(-2r)/4 for squeeze-x."""
-    if n_photons < 0:
+    if not (n_photons >= 0):  # nan fails this too
         raise ValueError("mean photon number must be nonnegative")
     return float(np.arcsinh(np.sqrt(n_photons)))
 
 
-def squeezed_vacuum(n_photons, axis="x"):
-    """Single-mode squeezed vacuum with mean photon number n_photons.
+def squeezed_variances(n_photons, axis="x"):
+    """(Var x, Var p) of a squeezed vacuum with mean photon number n_photons.
 
     axis selects which quadrature carries the reduced noise exp(-2r)/4.
     """
@@ -189,11 +194,15 @@ def squeezed_vacuum(n_photons, axis="x"):
     r = squeeze_parameter(n_photons)
     lo = np.exp(-2.0 * r) / 4.0
     hi = np.exp(2.0 * r) / 4.0
-    if axis == "x":
-        cov = np.diag([lo, hi])
-    else:
-        cov = np.diag([hi, lo])
-    return GaussianState(np.zeros(2), cov)
+    return (lo, hi) if axis == "x" else (hi, lo)
+
+
+def squeezed_vacuum(n_photons, axis="x"):
+    """Single-mode squeezed vacuum with mean photon number n_photons.
+
+    axis selects which quadrature carries the reduced noise exp(-2r)/4.
+    """
+    return GaussianState(np.zeros(2), np.diag(squeezed_variances(n_photons, axis)))
 
 
 def coherent_state(x_mean, p_mean=0.0):
@@ -318,7 +327,7 @@ def displace_all(state, alpha):
 def sampling_factor(cov_block):
     """F with F F^T = cov_block, from eigh; raises if cov_block is not PSD."""
     eigvals, eigvecs = np.linalg.eigh(cov_block)
-    if eigvals.min() < -EIGENVALUE_FLOOR:
+    if not (eigvals.min() >= -EIGENVALUE_FLOOR):
         raise ValueError(
             f"quadrature covariance block is not PSD (min eig {eigvals.min():.3e})"
         )

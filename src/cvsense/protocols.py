@@ -15,6 +15,7 @@ import numpy as np
 from . import gaussian
 from .allocation import WeightedNetwork, noise_kernel, weighted_rms
 from .gaussian import (
+    GaussianState,
     LossChannel,
     apply_loss,
     apply_symplectic,
@@ -22,6 +23,7 @@ from .gaussian import (
     coherent_state,
     displace_all,
     squeezed_vacuum,
+    squeezed_variances,
     tensor,
     unbalanced_splitter,
 )
@@ -93,9 +95,11 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
     """
     if num_nodes < 1:
         raise ValueError("number of nodes must be >= 1")
-    state = squeezed_vacuum(total_photons, axis)
-    if num_nodes > 1:
-        state = tensor(state, gaussian.vacuum_state(num_nodes - 1))
+    # Squeezed vacuum in mode 0, vacuum elsewhere: one diagonal state, the
+    # covariance of tensor(squeezed_vacuum, vacuum_state(M - 1)).
+    cov = 0.25 * np.eye(2 * num_nodes)
+    cov[0, 0], cov[num_nodes, num_nodes] = squeezed_variances(total_photons, axis)
+    state = GaussianState(np.zeros(2 * num_nodes), cov)
     if splitter is None:
         splitter = balanced_splitter(num_nodes)
     return apply_symplectic(state, splitter)
@@ -134,6 +138,8 @@ class SensorNetworkConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trial count must be positive")
+        if not np.isfinite(self.alpha_true):
+            raise ValueError("alpha_true must be finite")
         # WeightedNetwork validates the weights, the etas and the budget.
         etas = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if etas.size == 1:
@@ -273,7 +279,7 @@ def scaling_exponent(scheme, eta, photons_per_node, node_counts):
 
 def phase_rms_error(num_nodes, total_photons, ancilla_photons, eta):
     """Linearized rms error of the distributed Mach-Zehnder phase estimator."""
-    if ancilla_photons <= 0:
+    if not (ancilla_photons > 0):  # nan fails this too
         raise ValueError("coherent drive photon number must be positive")
     return float(
         2.0 * entangled_rms_error(num_nodes, total_photons, eta)
@@ -325,7 +331,7 @@ def simulate_phase_protocol(
     num_nodes, total_photons, ancilla_photons, eta, dphi_true, trials, seed
 ):
     """Monte Carlo over the exact Mach-Zehnder network; p-quadrature homodyne."""
-    if abs(dphi_true) >= PHASE_LINEARIZATION_GUARD:
+    if not (abs(dphi_true) < PHASE_LINEARIZATION_GUARD):  # nan fails this too
         raise ValueError(
             f"|dphi| must be below the linearization guard {PHASE_LINEARIZATION_GUARD}"
         )

@@ -302,19 +302,56 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
     ["ratio-curve", "--mode", "vs-M", "--total-photons", "nan"],
     ["ratio-curve", "--mode", "vs-loss", "--loss-db-max", "nan"],
     ["weighted", "--config", "nan_budget.cfg"],
+    ["monte-carlo", "--config", "nan_alpha_mc.cfg"],
+    ["monte-carlo", "--config", "inf_alpha_mc.cfg"],
+    ["phase", "--config", "nan_dphi_phase.cfg"],
+    ["phase", "--config", "nan_drive_phase.cfg"],
+    ["fisher", "--seed", 2**32],
+    ["monte-carlo", "--config", "small_mc.cfg", "--seed", 2**32],
+    ["phase", "--config", "small_phase.cfg", "--seed", 2**32],
+    ["monte-carlo", "--config", "big_seed_mc.cfg"],
+    ["phase", "--config", "big_seed_phase.cfg"],
 ])
 def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, args):
-    (tmp_path / "zero_budget.cfg").write_text("N_S = 0\netas = 0.9, 0.3\n")
-    (tmp_path / "nan_budget.cfg").write_text("N_S = nan\netas = 0.9, 0.3\n")
-    (tmp_path / "negative_seed_mc.cfg").write_text(NEGATIVE_SEED_MC)
-    (tmp_path / "negative_seed_phase.cfg").write_text(NEGATIVE_SEED_PHASE)
+    for name, text in HOSTILE_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert run(args + ["--out", tmp_path / "x.csv"]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
 
-NEGATIVE_SEED_MC = "seed = -1\n[case]\nM = 2\nN_S = 1\ntrials = 10\n"
-NEGATIVE_SEED_PHASE = "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\nseed = -1\n"
+SMALL_MC = "[case]\nM = 2\nN_S = 1\ntrials = 10\n"
+SMALL_PHASE = "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\n"
+NEGATIVE_SEED_MC = "seed = -1\n" + SMALL_MC
+NEGATIVE_SEED_PHASE = SMALL_PHASE + "seed = -1\n"
+HOSTILE_CONFIGS = {
+    "zero_budget.cfg": "N_S = 0\netas = 0.9, 0.3\n",
+    "nan_budget.cfg": "N_S = nan\netas = 0.9, 0.3\n",
+    "negative_seed_mc.cfg": NEGATIVE_SEED_MC,
+    "negative_seed_phase.cfg": NEGATIVE_SEED_PHASE,
+    "nan_alpha_mc.cfg": SMALL_MC + "alpha = nan\n",
+    "inf_alpha_mc.cfg": SMALL_MC + "alpha = inf\n",
+    "nan_dphi_phase.cfg": SMALL_PHASE.replace("dphi = 0.01", "dphi = nan"),
+    "nan_drive_phase.cfg": SMALL_PHASE.replace("N_v = 100", "N_v = nan"),
+    "small_mc.cfg": SMALL_MC,
+    "small_phase.cfg": SMALL_PHASE,
+    "big_seed_mc.cfg": f"seed = {2**32}\n" + SMALL_MC,
+    "big_seed_phase.cfg": SMALL_PHASE + f"seed = {2**32}\n",
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fisher", None), ("monte-carlo", SMALL_MC), ("phase", SMALL_PHASE),
+], ids=["fisher", "monte-carlo", "phase"])
+def test_largest_seed_is_accepted(tmp_path, command, config):
+    # Seeds are one 32-bit word: 2^32 - 1 runs, 2^32 is a usage error.
+    args = [command, "--seed", cli.SEED_MAX, "--out", tmp_path / "x.csv"]
+    if config is None:
+        args += ["--draws", 1]
+    else:
+        (tmp_path / "x.cfg").write_text(config)
+        args += ["--config", tmp_path / "x.cfg"]
+    assert run(args) == 0
 
 
 @pytest.mark.parametrize("command, text", [

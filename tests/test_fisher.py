@@ -67,6 +67,26 @@ def test_fisher_numeric_displacement_independent():
     assert at_zero == pytest.approx(at_offset, abs=1e-8)
 
 
+@pytest.mark.parametrize("displacement", [0.0, 0.7])
+def test_fisher_numeric_equals_the_route_through_states(rng, displacement):
+    # fisher_numeric reads base's arrays instead of building a state per
+    # shift; the states' arrays hold the same bits, so the value is equal.
+    for _ in range(5):
+        params = fi.SqueezedThermalParams(
+            r=rng.uniform(0.0, 1.5), n=rng.uniform(0.0, 1.0), theta=rng.uniform(0.0, np.pi),
+            mean=rng.uniform(-0.5, 0.5, 2),
+        )
+        eta = rng.uniform(0.3, 1.0)
+        base = fi.lossy_state(params, eta, displacement)
+        quotients = []
+        for e in fi.DEFAULT_EPSILONS:
+            shifted = fi.lossy_state(params, eta, displacement + e)
+            fid = fi.gaussian_fidelity(base, g.GaussianState(shifted.mean, base.cov))
+            quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
+        want = fi._richardson(quotients, fi.DEFAULT_EPSILONS)
+        assert fi.fisher_numeric(params, eta, displacement=displacement) == want
+
+
 def test_fisher_numeric_epsilon_guard():
     with pytest.raises(ValueError):
         fi.fisher_numeric(fi.SqueezedThermalParams(), 1.0, epsilons=(1e-7, 1e-3))

@@ -120,19 +120,53 @@ def test_validate_density_rejects_non_psd():
     fock._validate_density(mat, fock.TRACE_TOL)
 
 
+def _dense_reference(state, cutoff):
+    """rho = U diag(p) U^dag with U = D R S formed as full operators, and the kept width."""
+    eigvals, eigvecs = np.linalg.eigh(state.cov)
+    nbar = max(0.0, (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0)
+    r = 0.25 * np.log(eigvals[1] / eigvals[0])
+    theta = np.arctan2(-eigvecs[1, 0], eigvecs[0, 0])
+    u = (fock.displacement_operator(state.mean[0] + 1j * state.mean[1], cutoff)
+         @ np.diag(fock.rotation_phases(theta, cutoff))
+         @ fock.squeeze_operator(r, cutoff))
+    probs = fock.thermal_populations(nbar, cutoff)
+    width = np.count_nonzero(np.sqrt(probs) >= np.finfo(float).eps)
+    return u @ np.diag(probs) @ u.conj().T, width
+
+
 def test_gaussian_to_fock_matches_dense_products():
     cov = np.array([[0.6, 0.2], [0.2, 0.3]])
     state = g.GaussianState(np.array([0.4, -0.3]), cov)
-    cutoff = 60
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    nbar = (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0
-    r = 0.25 * np.log(eigvals[1] / eigvals[0])
-    theta = np.arctan2(-eigvecs[1, 0], eigvecs[0, 0])
-    u = (fock.displacement_operator(0.4 - 0.3j, cutoff)
-         @ np.diag(fock.rotation_phases(theta, cutoff))
-         @ fock.squeeze_operator(r, cutoff))
-    rho = u @ np.diag(fock.thermal_populations(nbar, cutoff)) @ u.conj().T
-    assert np.abs(fock.gaussian_to_fock(state, cutoff).matrix - rho).max() < 1e-13
+    rho, width = _dense_reference(state, 60)
+    op = fock.gaussian_to_fock(state, 60)
+    assert np.abs(op.matrix - rho).max() < 1e-13
+    assert op.factor.shape == (60, width)
+
+
+@pytest.mark.parametrize("n", [0.0, 0.5, None])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaussian_to_fock_factor_matches_dense_products_on_random_states(seed, n):
+    # X is formed on the columns with sqrt(p_k) >= eps only, in real gauge
+    # bases; the full products of D, R and S over every column agree.
+    rng = np.random.default_rng(seed)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    state = fisher.SqueezedThermalParams(
+        r=rng.uniform(0.0, 1.2), n=rng.uniform(0.0, 0.5) if n is None else n,
+        theta=rng.uniform(0.0, np.pi),
+        mean=rng.uniform(0.0, 1.0) * np.array([np.cos(phase), np.sin(phase)]),
+    ).to_state()
+    rho, width = _dense_reference(state, 60)
+    op = fock.gaussian_to_fock(state, 60)
+    assert np.abs(op.matrix - rho).max() < 1e-13
+    assert op.factor.shape == (60, width)
+
+
+@pytest.mark.parametrize("state", [g.vacuum_state(1), g.coherent_state(0.7, -0.4)],
+                         ids=["vacuum", "coherent"])
+def test_pure_thermal_part_keeps_one_column(state):
+    op = fock.gaussian_to_fock(state, 40)
+    assert op.factor.shape == (40, 1)
+    assert np.abs(op.matrix - _dense_reference(state, 40)[0]).max() < 1e-13
 
 
 def _random_single_mode(rng):

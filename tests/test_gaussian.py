@@ -245,6 +245,25 @@ def test_state_validation():
         g.GaussianState(np.zeros(2), 0.1 * np.eye(2))  # below vacuum noise
 
 
+@pytest.mark.parametrize("mean, cov", [
+    (np.zeros(2), np.full((2, 2), np.nan)),
+    (np.zeros(2), np.array([[0.25, np.nan], [np.nan, 0.25]])),
+    (np.zeros(2), np.array([[0.25, np.inf], [0.0, 0.25]])),
+    (np.zeros(2), np.diag([np.inf, 0.25])),
+    (np.array([np.nan, 0.0]), 0.25 * np.eye(2)),
+    (np.array([0.0, np.inf]), 0.25 * np.eye(2)),
+], ids=["nan-cov", "nan-offdiag", "inf-offdiag", "inf-diag", "nan-mean", "inf-mean"])
+def test_state_rejects_non_finite_entries(mean, cov):
+    with pytest.raises(ValueError, match="finite"):
+        g.GaussianState(mean, cov)
+
+
+def test_transform_rejects_nan_matrix():
+    for mat in (np.full((4, 4), np.nan), np.where(np.eye(4) > 0, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="not symplectic"):
+            g.SymplecticTransform(mat, np.zeros(4))
+
+
 def test_serialization_roundtrip(rng):
     state = random_gaussian_state(rng, 2)
     again = g.GaussianState.from_dict(state.to_dict())

@@ -60,6 +60,22 @@ def test_build_entangled_input():
         assert var_b1 == pytest.approx(np.exp(-2 * g.squeeze_parameter(5.0)) / 4, abs=1e-14)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("axis", ["x", "p"])
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+def test_entangled_input_equals_the_tensor_route(m, axis, balanced):
+    # One diagonal state in place of tensor(squeezed_vacuum, vacuum): the
+    # same covariance bits, so the same state after the splitter.
+    splitter = None if balanced else g.unbalanced_splitter(np.linspace(1.0, 2.0, m))
+    got = pr.build_entangled_input(m, 3.0, axis, splitter=splitter)
+    state = g.squeezed_vacuum(3.0, axis)
+    if m > 1:
+        state = g.tensor(state, g.vacuum_state(m - 1))
+    want = g.apply_symplectic(state, splitter or g.balanced_splitter(m))
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.cov, want.cov)
+
+
 def test_build_product_input():
     assert np.allclose(
         pr.build_product_input(1, 2.0).cov, g.squeezed_vacuum(2.0).cov
@@ -217,6 +233,9 @@ def test_config_validation():
         pr.SensorNetworkConfig(2, np.nan)
     with pytest.raises(ValueError):
         pr.SensorNetworkConfig(2, 1.0, eta=np.array([0.5, np.nan]))
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha_true"):
+            pr.SensorNetworkConfig(2, 1.0, alpha_true=alpha)
 
 
 def test_scaling_exponent():
@@ -277,6 +296,9 @@ def test_phase_residual_quadratic():
 def test_phase_guard():
     with pytest.raises(ValueError):
         pr.simulate_phase_protocol(2, 2.0, 100.0, 1.0, 0.5, 100, seed=0)
+    for dphi, n_v in ((np.nan, 100.0), (0.01, np.nan), (0.01, np.inf)):
+        with pytest.raises(ValueError):
+            pr.simulate_phase_protocol(2, 2.0, n_v, 1.0, dphi, 100, seed=0)
 
 
 def test_known_discrepancy_note():
