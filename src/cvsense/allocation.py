@@ -2,12 +2,8 @@
 
 Every closed-form rms in cvsense is weighted_rms, 1/2 sqrt(sum_m w_m^2
 noise_kernel(eta_m, n_m)): n_m = N_S for the entangled scheme, the node's
-own photons for the product scheme.
-
-Closed-form entangled performance, photon allocation for the product
-scheme (water-filling: the per-node KKT condition inverts in closed form,
-leaving one monotone bisection on the Lagrange level), and weight
-optimization for both schemes.
+own photons for the product scheme, whose split at fixed or at optimal
+weights is one water-filling.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 KKT_TOL = 1e-8
 MAX_BISECTIONS = 200
-MAX_ALTERNATIONS = 500
 
 
 def _check_etas(etas):
@@ -115,56 +110,40 @@ def _photons_at_level(gain, level):
     return root_n**2
 
 
-def allocate_photons_product(net):
-    """Optimal photon split for the product scheme by water-filling.
-
-    Every node with w_m^2 eta_m > 0 receives photons (the marginal gain
-    diverges at zero). Each node's share at a Lagrange level is closed form,
-    capped at the budget, and the level is found by one vectorized
-    bisection on the total.
-    """
-    if net.total_photons <= 0:
-        raise ValueError("photon budget must be positive")
-    m = net.num_nodes
-    gain = net.weights**2 * net.etas  # coefficient of the N-dependent term
-    active = gain > 0.0
-    photons = np.zeros(m)
-    if not np.any(active):
-        return AllocationResult(photons, product_objective(net, photons), 0.0, 0)
-
-    budget = net.total_photons
-    gain = gain[active]
-
-    def marginal(n):
-        # -d/dN of each active objective term; strictly decreasing in N.
-        return -gain * _inv_scale_deriv(n)
-
-    def node_photons(level):
-        return np.minimum(_photons_at_level(gain, level), budget)
-
+def _level_search(marginal, node_photons, budget, size):
+    """Bisect on the level at which node_photons (each node's inverse of its decreasing
+    marginal(n), capped at the budget) spends the budget; return the shares and the count."""
     # Each node takes the whole budget at lo and at most an equal share at hi.
-    lo = marginal(budget).min()
-    hi = marginal(budget / gain.size).max()
+    lo, hi = marginal(budget).min(), marginal(budget / size).max()
     for it in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         # ">=": a capped node plus shares below its rounding sums to exactly
         # the budget over a range of levels; the optimum is at its top.
-        if node_photons(mid).sum() >= budget:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if node_photons(mid).sum() >= budget else (lo, mid)
         # Relative width: the level falls like 1/N_S^2, far below 1.
         if hi - lo <= 1e-14 * hi:
             break
-    shares = node_photons(0.5 * (lo + hi))
-    # Repair any bisection slack so the budget constraint holds exactly.
-    shares *= budget / shares.sum()
+    return node_photons(0.5 * (lo + hi)), it + 1
+
+
+def allocate_photons_product(net):
+    """Optimal photon split for the product scheme at fixed weights: every node with
+    w_m^2 eta_m > 0 gets photons (its marginal diverges at zero), in closed form per level."""
+    if net.total_photons <= 0:
+        raise ValueError("photon budget must be positive")
+    gain = net.weights**2 * net.etas  # coefficient of the N-dependent term
+    active = gain > 0.0  # never empty: the weights sum to 1
+    gain, budget = gain[active], net.total_photons
+    shares, iterations = _level_search(
+        lambda n: -gain * _inv_scale_deriv(n),
+        lambda level: np.minimum(_photons_at_level(gain, level), budget), budget, gain.size)
+    shares *= budget / shares.sum()  # repair the slack: the budget holds exactly
+    positive = shares > 0  # a share that underflowed to zero has an infinite marginal
+    marginals = -gain[positive] * _inv_scale_deriv(shares[positive])
+    residual = float((marginals.max() - marginals.min()) / marginals.max())
+    photons = np.zeros(net.num_nodes)
     photons[active] = shares
-    # Stationarity residual of the returned photons: the relative spread of
-    # the marginal gains over strictly positive allocations.
-    marginals = marginal(shares[shares > 0])
-    residual = (marginals.max() - marginals.min()) / marginals.max()
-    return AllocationResult(photons, product_objective(net, photons), float(residual), it + 1)
+    return AllocationResult(photons, product_objective(net, photons), residual, iterations)
 
 
 def optimal_weights_entangled(etas, total_photons):
@@ -180,26 +159,58 @@ def optimal_weights_entangled(etas, total_photons):
     return inv / inv.sum()
 
 
-def optimal_weights_product(etas, total_photons, tol=1e-12):
+def _fisher_marginal(etas, n):
+    """F' = 4 eta kappa/(r c^2) of the node Fisher information F = 4/c (c = noise_kernel,
+    r = sqrt(n(n+1))) and d log F'/d log n = -(n/r) [2(1 - eta)/c + 1/(4r(r + n + 1/2))] < 0."""
+    root, kappa = np.sqrt(n * (n + 1.0)), _inv_scale(n)
+    c = etas * kappa + 1.0 - etas  # noise_kernel(etas, n), sharing kappa
+    slope = -(n / root) * (2.0 * (1.0 - etas) / c + 0.25 / (root * (root + n + 0.5)))
+    return 4.0 * etas * kappa / (root * c**2), slope
+
+
+def optimal_weights_product(etas, total_photons):
     """Jointly optimized weights and photon split for the product scheme.
 
-    Alternates the closed-form weight update with the water-filling
-    allocation until the objective stalls.
+    At fixed photons the best weights are w_m proportional to the node Fisher
+    information F_m = 4/c_m = fisher_max(n_m, eta_m), and rms^2 = 1/sum F_m; so the
+    optimum maximizes the separable sum_m F_m(n_m) at sum_m n_m = N_S. Each F_m is
+    strictly concave (d log F'/d log n < 0, see _fisher_marginal) with F'(0+) infinite,
+    so it is one water-filling, F_m'(n_m) = level on every node, then w = F/sum F.
     """
     etas = np.asarray(etas, dtype=float)
-    m = etas.size
-    weights = np.full(m, 1.0 / m)
-    net = WeightedNetwork(m, weights, etas, total_photons)
-    result = allocate_photons_product(net)
-    best = result.objective
-    for _ in range(MAX_ALTERNATIONS):
-        inv = 1.0 / noise_kernel(etas, result.photons)
-        weights = inv / inv.sum()
-        net = WeightedNetwork(m, weights, etas, total_photons)
-        result = allocate_photons_product(net)
-        if best - result.objective < tol:
-            break
-        best = result.objective
-    else:
-        raise RuntimeError("weight/allocation alternation did not converge")
-    return weights, result
+    _check_etas(etas)
+    if not 0 < total_photons < np.inf:  # nan fails this too
+        raise ValueError("photon budget must be positive and finite")
+    at_budget = _fisher_marginal(etas, total_photons)[0]
+    x = slope = previous = None  # a Newton step from the previous level's roots seeds the next
+
+    def node_photons(level):
+        # F' = level is a quartic in kappa(n): Newton steps on log F' against log n, bisecting
+        # [closed-form root of 4 eta (-kappa') = level <= F' (c <= 1), budget] when they leave it.
+        nonlocal x, slope, previous
+        capped = level <= at_budget
+        lo, hi = np.log(_photons_at_level(4.0 * etas, level)), np.log(total_photons)
+        x = lo if x is None else np.clip(x + np.log(level / previous) / slope, lo, hi)
+        previous = level
+        for _ in range(MAX_BISECTIONS):
+            value, slope = _fisher_marginal(etas, np.exp(x))
+            gap = np.log(value / level)  # > 0: n is below the root
+            lo, hi = np.where(gap > 0, x, lo), np.where(gap > 0, hi, x)
+            step = x - gap / slope
+            # A converged root still takes its last step if that stays inside.
+            done = capped | (np.abs(gap) <= 1e-13)
+            x = np.where((lo < step) & (step < hi), step, np.where(done, x, 0.5 * (lo + hi)))
+            if done.all():
+                break
+        return np.where(capped, total_photons, np.exp(x))
+
+    photons, iterations = _level_search(
+        lambda n: _fisher_marginal(etas, n)[0], node_photons, total_photons, etas.size)
+    # Spend the slack moving every log F' by one t, n_m += t n_m/slope_m: a uniform
+    # rescale would pass a flat (eta ~ 1) node's level error on to the steep ones.
+    sensitivity = photons / _fisher_marginal(etas, photons)[1]
+    photons += sensitivity * (total_photons - photons.sum()) / sensitivity.sum()
+    fisher, marginals = 4.0 / noise_kernel(etas, photons), _fisher_marginal(etas, photons)[0]
+    residual = float((marginals.max() - marginals.min()) / marginals.max())
+    return fisher / fisher.sum(), AllocationResult(
+        photons, float(1.0 / np.sqrt(fisher.sum())), residual, iterations)

@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from . import __version__, allocation, fisher, protocols
+from .protocols import SEED_MAX
 
 EXIT_USAGE = 1
 EXIT_STATISTICAL = 2
@@ -43,10 +44,6 @@ class FiniteFloatRange(click.FloatRange):
 PHOTONS = FiniteFloatRange(min=0.0)
 ETA = FiniteFloatRange(0.0, 1.0, min_open=True)
 NODES = click.IntRange(min=1)
-# Case i of a run draws from SeedSequence([seed, i]).  numpy splits a seed of
-# 2^32 or more into 32-bit words, so [2^32 + 1, 0] would draw the stream of
-# [1, 1]; with one word per seed every (seed, case) stream is distinct.
-SEED_MAX = 2**32 - 1
 SEED = click.IntRange(0, SEED_MAX)
 
 

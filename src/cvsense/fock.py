@@ -154,7 +154,8 @@ def thermal_populations(nbar, cutoff):
 
 def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
     # Each tolerance test is written so that nan fails it.
-    if not (np.abs(mat - mat.conj().T).max() <= HERMITICITY_TOL):
+    adjoint = mat.conj().T
+    if not (np.abs(mat - adjoint).max() <= HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
     if not (abs(np.trace(mat).real - 1.0) <= trace_tol):
         raise ValueError(
@@ -171,7 +172,7 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
             f"top-level occupancy {tail:.3e} exceeds tolerance; "
             "increase the Fock cutoff"
         )
-    min_eig = psd_violation(0.5 * (mat + mat.conj().T), PSD_TOL)
+    min_eig = psd_violation(0.5 * (mat + adjoint), PSD_TOL)
     if min_eig is not None:
         raise ValueError(f"density matrix is not PSD (min eig {min_eig:.3e})")
 

@@ -106,20 +106,6 @@ class GaussianState:
         """Total mean photon number, sum over modes of <x^2>+<p^2> - 1/2."""
         return float(np.trace(self.cov) + self.mean @ self.mean - self.num_modes / 2)
 
-    def to_dict(self):
-        return {
-            "num_modes": self.num_modes,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.flatten().tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data):
-        m = int(data["num_modes"])
-        mean = np.asarray(data["mean"], dtype=float)
-        cov = np.asarray(data["cov"], dtype=float).reshape(2 * m, 2 * m)
-        return GaussianState(mean, cov)
-
 
 @dataclass(frozen=True)
 class SymplecticTransform:

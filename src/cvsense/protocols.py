@@ -42,6 +42,9 @@ EIGHT_DB_NOTE = (
     "eta ~ 0.98); the formula value is reported"
 )
 
+# numpy splits a SeedSequence word >= 2^32, so (2^32 + 1, 0) would draw (1, 1)'s stream.
+SEED_MAX = 2**32 - 1
+
 # Normals per Monte Carlo chunk: the campaign's two sample buffers stay
 # near 512 KB each, whatever the node count.
 CHUNK_NORMALS = 1 << 16
@@ -180,6 +183,8 @@ def _run_campaign(mean, cov, weights, target, trials, seed, analytic_rms, scheme
     weights @ outcomes. The sampling factor and the buffers are built once,
     and every chunk of CHUNK_NORMALS normals is drawn and reduced in place.
     """
+    if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
+        raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     factor = gaussian.sampling_factor(cov)
     rows = min(trials, max(1, CHUNK_NORMALS // mean.size))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cvsense import allocation as al
+from cvsense.fisher import fisher_max
 from cvsense import gaussian as g
 from cvsense import protocols as pr
 
@@ -255,3 +256,87 @@ def test_allocation_residual_holds_for_the_returned_photons(n_s):
     assert spread <= al.KKT_TOL
     # The two routes round apart at the 1e-16 level; an absolute stop left 1e-8.
     assert spread <= result.kkt_residual + 1e-14
+
+
+def _spread(values):
+    return (values.max() - values.min()) / values.max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 128])
+def test_joint_optimum_random_networks(m):
+    rng = np.random.default_rng(np.random.SeedSequence([2026, m]))
+    for _ in range(12 if m > 2 else 40):
+        etas = np.exp(rng.uniform(np.log(1e-3), 0.0, size=m))
+        etas[rng.random(m) < 0.1] = 1.0
+        n_s = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e6))))
+        weights, result = al.optimal_weights_product(etas, n_s)
+        n = result.photons
+        assert n.sum() == pytest.approx(n_s, rel=1e-14, abs=0.0)
+        assert result.kkt_residual <= al.KKT_TOL
+        # At w proportional to F the fixed-weight marginals w^2 eta (-kappa')
+        # are proportional to F', so they certify the same stationarity.
+        assert _spread(weights**2 * etas * -al._inv_scale_deriv(n)) <= al.KKT_TOL
+        fisher = np.array([fisher_max(n_m, eta)[0] for n_m, eta in zip(n, etas)])
+        assert np.abs(weights - fisher / fisher.sum()).max() <= 1e-12
+        assert result.objective == 1.0 / np.sqrt(fisher.sum())
+        if m == 2:
+            # 200 x 200 (weight, split) grid, evaluated in one batch.
+            w1 = np.linspace(0.01, 0.99, 200)[:, None]
+            n1 = np.linspace(1e-4, 1.0 - 1e-4, 200)[None, :] * n_s
+            grid = 0.5 * np.sqrt(w1**2 * al.noise_kernel(etas[0], n1)
+                                 + (1.0 - w1) ** 2 * al.noise_kernel(etas[1], n_s - n1))
+            assert result.objective <= grid.min()
+
+
+def test_joint_optimum_fisher_is_concave():
+    # 4/noise_kernel is strictly concave in n: the log-log slope of its
+    # derivative is negative, and every chord lies below it.  The derivative
+    # and the slope from _fisher_marginal match finite differences.
+    rng = np.random.default_rng(np.random.SeedSequence(77))
+    n = np.geomspace(1e-8, 1e6, 400)
+    for eta in np.concatenate([[1e-3, 1.0], np.exp(rng.uniform(np.log(1e-3), 0.0, 8))]):
+        fisher = 4.0 / al.noise_kernel(eta, n)
+        deriv, slope = al._fisher_marginal(eta, n)
+        assert np.all(slope < 0.0)
+        # Central differences, where the kernel's round-off moves them by < 1e-4.
+        fd = (n >= 1e-3) & (n <= 1e3)
+        h = 1e-5 * n[fd]
+        numeric = (4.0 / al.noise_kernel(eta, n[fd] + h)
+                   - 4.0 / al.noise_kernel(eta, n[fd] - h)) / (2 * h)
+        assert np.allclose(numeric, deriv[fd], rtol=1e-4, atol=0.0)
+        log_deriv = np.log(al._fisher_marginal(eta, n[fd] * np.exp([[-1e-5], [1e-5]]))[0])
+        assert np.allclose((log_deriv[1] - log_deriv[0]) / 2e-5, slope[fd], rtol=1e-5, atol=1e-6)
+        for t in (0.25, 0.5, 0.75):
+            a, b = n[:-40], n[40:]
+            mid = 4.0 / al.noise_kernel(eta, t * a + (1 - t) * b)
+            chord = t * fisher[:-40] + (1 - t) * fisher[40:]
+            # Slack: the kernel's round-off, up to 4e-16 n relative at eta = 1.
+            assert np.all(mid >= chord * (1.0 - 1e-9))
+
+
+def test_joint_optimum_spot_network():
+    # configs/weighted_m2.cfg against F_1'(n_1) = F_2'(4 - n_1) solved to 40
+    # digits; alternating weight and allocation updates stopped 4.5e-8 short.
+    etas = np.array([0.9, 0.3])
+    weights, result = al.optimal_weights_product(etas, 4.0)
+    assert result.photons[0] == pytest.approx(3.8639571809520973, rel=1e-13)
+    assert weights[0] == pytest.approx(0.8478872255735120, abs=1e-14)
+    assert result.objective == pytest.approx(0.17933844572255579, rel=1e-15)
+    assert result.kkt_residual <= 1e-14
+    assert result.iterations < al.MAX_BISECTIONS
+
+
+def test_allocation_with_an_underflowing_share():
+    # A weight of 1e-100 is active (w^2 eta > 0), but its share underflows
+    # to zero photons; the residual is taken over the other nodes.
+    net = al.WeightedNetwork(3, np.array([0.5, 0.5, 1e-100]), np.array([0.9, 0.5, 0.9]), 4.0)
+    result = al.allocate_photons_product(net)
+    assert result.photons[2] == 0.0
+    assert result.photons.sum() == pytest.approx(4.0, rel=1e-15)
+    assert result.kkt_residual <= al.KKT_TOL
+
+
+@pytest.mark.parametrize("n_s", [0.0, -1.0, np.nan, np.inf])
+def test_optimal_weights_product_rejects_bad_budget(n_s):
+    with pytest.raises(ValueError, match="photon budget"):
+        al.optimal_weights_product(np.array([0.9, 0.3]), n_s)

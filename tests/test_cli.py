@@ -170,7 +170,7 @@ def test_weighted_command(tmp_path, configs_dir):
 
 
 def test_weighted_nonconvergence(tmp_path, configs_dir, monkeypatch):
-    def stuck(etas, total_photons, tol=1e-12):
+    def stuck(etas, total_photons):
         raise RuntimeError("weight/allocation alternation did not converge")
 
     monkeypatch.setattr(cli.allocation, "optimal_weights_product", stuck)

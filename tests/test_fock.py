@@ -120,6 +120,15 @@ def test_validate_density_rejects_non_psd():
     fock._validate_density(mat, fock.TRACE_TOL)
 
 
+def test_validate_density_rejects_non_hermitian_and_nan():
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[:2, :2] = [[0.5, 0.5], [0.5 + 1e-6j, 0.5]]
+    nan = np.full((6, 6), np.nan, dtype=complex)
+    for mat in (skew, nan):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock._validate_density(mat, fock.TRACE_TOL)
+
+
 def _dense_reference(state, cutoff):
     """rho = U diag(p) U^dag with U = D R S formed as full operators, and the kept width."""
     eigvals, eigvecs = np.linalg.eigh(state.cov)

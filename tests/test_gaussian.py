@@ -264,13 +264,6 @@ def test_transform_rejects_nan_matrix():
             g.SymplecticTransform(mat, np.zeros(4))
 
 
-def test_serialization_roundtrip(rng):
-    state = random_gaussian_state(rng, 2)
-    again = g.GaussianState.from_dict(state.to_dict())
-    assert np.allclose(again.mean, state.mean)
-    assert np.allclose(again.cov, state.cov)
-
-
 @pytest.mark.parametrize("m", [2, 3, 17, 200])
 def test_complete_orthogonal_random_and_near_e1_rows(rng, m):
     rows = [rng.standard_normal(m), rng.uniform(0.0, 1.0, m), -rng.uniform(0.0, 1.0, m),

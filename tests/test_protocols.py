@@ -315,3 +315,20 @@ def test_dense_route_with_a_tiny_last_weight():
         assert pr.analytic_config_rms(cfg) == pytest.approx(
             pr.analytic_rms_for_scheme(cfg), rel=0.0, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("seed", [2**32, (2**32 + 1, 0), (1, -1), -1])
+def test_campaign_rejects_seed_words_outside_32_bits(seed):
+    # numpy splits a word >= 2^32 into 32-bit words, so (2^32 + 1, 0) would
+    # draw the stream of (1, 1).
+    cfg = pr.SensorNetworkConfig(2, 1.0, 0.9, seed=seed, trials=10)
+    with pytest.raises(ValueError, match="seed words"):
+        pr.simulate_displacement_protocol(cfg)
+    with pytest.raises(ValueError, match="seed words"):
+        pr.simulate_phase_protocol(2, 1.0, 100.0, 0.9, 0.01, 10, seed=seed)
+
+
+def test_campaign_accepts_the_largest_seed_word():
+    cfg = pr.SensorNetworkConfig(2, 1.0, 0.9, seed=(pr.SEED_MAX, 0), trials=10)
+    assert pr.simulate_displacement_protocol(cfg).trials == 10
+    assert pr.simulate_phase_protocol(2, 1.0, 100.0, 0.9, 0.01, 10, seed=(pr.SEED_MAX, 0)).trials == 10
