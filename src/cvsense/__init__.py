@@ -20,10 +20,8 @@ from .gaussian import (  # noqa: F401
     balanced_splitter,
     coherent_state,
     displace_all,
-    homodyne_samples,
     squeezed_vacuum,
     tensor,
-    unbalanced_splitter,
     vacuum_state,
 )
 from .protocols import (  # noqa: F401
@@ -55,4 +53,4 @@ from .fisher import (  # noqa: F401
     fisher_numeric,
     gaussian_fidelity,
 )
-from .fock import FockOperator, fock_fidelity, gaussian_to_fock  # noqa: F401
+from .fock import fock_fidelity, gaussian_to_fock  # noqa: F401

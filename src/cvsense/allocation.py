@@ -79,7 +79,7 @@ def _inv_scale_deriv(n):
 def noise_kernel(etas, photons):
     """Per-node x-noise in vacuum units, eta kappa(n) + 1 - eta, of n squeezing photons."""
     etas = np.asarray(etas, dtype=float)
-    return etas * _inv_scale(photons) + 1.0 - etas
+    return (1.0 - etas) + etas * _inv_scale(photons)  # 1 - eta first: kappa itself at eta = 1
 
 
 def weighted_rms(weights, etas, photons):
@@ -163,7 +163,7 @@ def _fisher_marginal(etas, n):
     """F' = 4 eta kappa/(r c^2) of the node Fisher information F = 4/c (c = noise_kernel,
     r = sqrt(n(n+1))) and d log F'/d log n = -(n/r) [2(1 - eta)/c + 1/(4r(r + n + 1/2))] < 0."""
     root, kappa = np.sqrt(n * (n + 1.0)), _inv_scale(n)
-    c = etas * kappa + 1.0 - etas  # noise_kernel(etas, n), sharing kappa
+    c = (1.0 - etas) + etas * kappa  # noise_kernel(etas, n), sharing kappa
     slope = -(n / root) * (2.0 * (1.0 - etas) / c + 0.25 / (root * (root + n + 0.5)))
     return 4.0 * etas * kappa / (root * c**2), slope
 

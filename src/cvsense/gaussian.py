@@ -310,25 +310,28 @@ def displace_all(state, alpha):
     return GaussianState(mean, state.cov)
 
 
-def sampling_factor(cov_block):
-    """F with F F^T = cov_block, from eigh; raises if cov_block is not PSD."""
-    eigvals, eigvecs = np.linalg.eigh(cov_block)
-    if not (eigvals.min() >= -EIGENVALUE_FLOOR):
-        raise ValueError(
-            f"quadrature covariance block is not PSD (min eig {eigvals.min():.3e})"
-        )
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
-def homodyne_samples(mean, factor, rng, normals, out):
+def homodyne_samples(mean, a, c, v, rng, normals, out):
     """Fill out, shape (n, M), with n joint homodyne outcomes and return it.
 
-    The outcomes are draws from the Gaussian marginal of the measured
-    quadratures: mean (length M) and the sampling_factor of their covariance.
-    normals is caller-owned scratch of out's shape, so a caller that reuses
-    both buffers allocates nothing per call; reproducible given rng.
+    The measured quadratures have mean `mean` (length M) and covariance
+    a I + c v v^T, the form of every pipeline marginal. Normals z give
+    x = mean + sqrt(a) z + b v^ (v^ . z) with v^ = v/|v| and
+    b = sqrt(a + c|v|^2) - sqrt(a), O(M) per trial. normals is caller-owned
+    scratch of out's shape, overwritten, so a caller that reuses both
+    buffers allocates only O(n + M) per call; reproducible given rng.
     """
+    v = np.asarray(v, dtype=float)
+    norm2 = v @ v
+    top = a + c * norm2  # the variance along v; a along every other direction
+    if not (a >= 0.0 and top >= -EIGENVALUE_FLOOR):  # nan fails this too
+        raise ValueError(f"quadrature covariance is not PSD (eigenvalues {a:.3e}, {top:.3e})")
+    unit = v / np.sqrt(norm2) if norm2 > 0.0 else v
     rng.standard_normal(out=normals)
-    np.matmul(normals, factor.T, out=out)
-    out += mean
+    # One (n x 2)(2 x M) product, [z . v^, 1] [b v^; mean], then sqrt(a) z in place.
+    left = np.empty((2, normals.shape[0]))
+    np.matmul(normals, unit, out=left[0])
+    left[1] = 1.0
+    np.matmul(left.T, np.stack([(np.sqrt(max(top, 0.0)) - np.sqrt(a)) * unit, mean]), out=out)
+    normals *= np.sqrt(a)
+    out += normals
     return out

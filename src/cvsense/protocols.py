@@ -2,8 +2,8 @@
 
 Closed-form rms errors for the entangled (shared squeezed vacuum split
 over M nodes) and product (per-node squeezed vacuum) schemes, Monte
-Carlo estimation campaigns over the exact Gaussian pipeline, scaling
-diagnostics, and the Mach-Zehnder phase-sensing network.
+Carlo estimation campaigns over the pipeline's exact marginals in O(M)
+form, scaling diagnostics, and the Mach-Zehnder phase-sensing network.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .gaussian import (
     apply_symplectic,
     balanced_splitter,
     coherent_state,
-    displace_all,
     squeezed_vacuum,
     squeezed_variances,
     tensor,
@@ -176,17 +175,16 @@ class EstimatorReport:
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
 
 
-def _run_campaign(mean, cov, weights, target, trials, seed, analytic_rms, scheme):
+def _run_campaign(mean, a, c, v, weights, target, trials, seed, analytic_rms, scheme):
     """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
 
-    mean and cov describe the measured quadratures; each trial's estimate is
-    weights @ outcomes. The sampling factor and the buffers are built once,
+    The measured quadratures have mean `mean` and covariance a I + c v v^T;
+    each trial's estimate is weights @ outcomes. The buffers are built once,
     and every chunk of CHUNK_NORMALS normals is drawn and reduced in place.
     """
     if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
         raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    factor = gaussian.sampling_factor(cov)
     rows = min(trials, max(1, CHUNK_NORMALS // mean.size))
     normals = np.empty((rows, mean.size))
     samples = np.empty_like(normals)
@@ -195,7 +193,7 @@ def _run_campaign(mean, cov, weights, target, trials, seed, analytic_rms, scheme
     sum_sq = 0.0
     for start in range(0, trials, rows):
         n = min(rows, trials - start)
-        block = gaussian.homodyne_samples(mean, factor, rng, normals[:n], samples[:n])
+        block = gaussian.homodyne_samples(mean, a, c, v, rng, normals[:n], samples[:n])
         chunk = np.matmul(block, weights, out=est[:n])
         sum_est += chunk.sum()
         chunk -= target
@@ -212,17 +210,35 @@ def _run_campaign(mean, cov, weights, target, trials, seed, analytic_rms, scheme
     )
 
 
+def _splitter_row(cfg):
+    """First row of the entangled input's splitter, unnormalized."""
+    if cfg.uniform or cfg.num_nodes == 1:
+        return np.ones(cfg.num_nodes)  # balanced_splitter's first row
+    # Heterogeneous network: spread the squeezed mode with coefficients
+    # proportional to w_m sqrt(eta_m) so the estimator recovers it intact.
+    return cfg.weights * np.sqrt(cfg.eta)
+
+
 def _build_input_for_config(cfg, axis="x"):
     if cfg.scheme == "product":
         return build_product_input(cfg.num_nodes, cfg.total_photons, axis)
-    if cfg.uniform or cfg.num_nodes == 1:
-        return build_entangled_input(cfg.num_nodes, cfg.total_photons, axis)
-    # Heterogeneous network: spread the squeezed mode with coefficients
-    # proportional to w_m sqrt(eta_m) so the estimator recovers it intact.
-    coeffs = cfg.weights * np.sqrt(cfg.eta)
-    return build_entangled_input(
-        cfg.num_nodes, cfg.total_photons, axis, splitter=unbalanced_splitter(coeffs)
-    )
+    splitter = unbalanced_splitter(_splitter_row(cfg))
+    return build_entangled_input(cfg.num_nodes, cfg.total_photons, axis, splitter=splitter)
+
+
+def _x_marginal(cfg):
+    """(a, c, v) of the post-loss x-covariance a I + c v v^T, in O(M).
+
+    The squeezed mode (x-variance s) spreads along the splitter's unit first row u,
+    I/4 + (s - 1/4) u u^T, and loss maps u to v = sqrt(eta) u (Weedbrook et al.,
+    RMP 84, 621 (2012)). Product nodes are independent: c = 0.
+    """
+    if cfg.scheme == "product":  # uniform; eta formed as apply_loss forms it, d * d
+        s, d = squeezed_variances(cfg.total_photons / cfg.num_nodes)[0], np.sqrt(cfg.eta[0])
+        return s * (d * d) + (1.0 - d * d) / 4.0, 0.0, np.zeros(cfg.num_nodes)
+    u = _splitter_row(cfg)
+    v = np.sqrt(cfg.eta) * u / np.sqrt(u @ u)
+    return 0.25, squeezed_variances(cfg.total_photons)[0] - 0.25, v
 
 
 def analytic_config_rms(cfg):
@@ -245,15 +261,13 @@ def analytic_rms_for_scheme(cfg):
 
 
 def simulate_displacement_protocol(cfg):
-    """Run the full pipeline (input, loss, displacement, homodyne) cfg.trials times."""
+    """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times."""
     if cfg.total_photons > SQUEEZING_CAP_PHOTONS:
         import warnings
 
         warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
-    state = apply_loss(_build_input_for_config(cfg), LossChannel(cfg.eta))
-    state = displace_all(state, cfg.alpha_true)
     return _run_campaign(
-        state.mean_block("x"), state.cov_block("x"), cfg.weights,
+        np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
         target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
         trials=cfg.trials, seed=cfg.seed,
         analytic_rms=analytic_rms_for_scheme(cfg), scheme=cfg.scheme,
@@ -343,11 +357,13 @@ def simulate_phase_protocol(
     if trials < 1:
         raise ValueError("trial count must be positive")
     m = num_nodes
-    state = build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
-    scale = 2.0 / (np.sqrt(eta * ancilla_photons) * m)
-    # The estimator reads only the M signal outputs, so only they are homodyned.
+    # The M identical MZ pairs act alike on the collective modes: one pair, whose drive
+    # holds all M N_v photons, meets the squeezed mode and the rest stay vacuum. Only the
+    # M signal outputs are homodyned, so its signal p output is embedded along 1/sqrt(M).
+    pair = build_phase_network_state(1, total_photons, m * ancilla_photons, eta, dphi_true)
+    u, scale = np.full(m, 1.0 / np.sqrt(m)), 2.0 / (np.sqrt(eta * ancilla_photons) * m)
     return _run_campaign(
-        state.mean_block("p")[:m], state.cov_block("p")[:m, :m], np.full(m, scale),
+        pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0] - 0.25, u, np.full(m, scale),
         target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
         scheme="phase-entangled",

@@ -242,6 +242,16 @@ def test_inv_scale_is_stable_for_large_budgets():
     assert np.allclose(al._inv_scale_deriv(n) * (4.0 * n + 2.0) * n, -1.0, rtol=1e-8, atol=0.0)
 
 
+def test_noise_kernel_is_exact_without_loss():
+    # At eta = 1 the kernel is kappa itself; eta kappa + 1 - eta formed (kappa + 1) - 1,
+    # off by 9.5e-11 relative at n = 1e6.
+    n = np.array([1e2, 1e4, 1e6])
+    kappa = al._inv_scale(n)
+    assert np.allclose(al.noise_kernel(1.0, n), kappa, rtol=1e-15, atol=0.0)
+    c = np.sqrt(n * (n + 1.0)) * kappa  # F' = 4 kappa/(r c^2) with c = kappa
+    assert np.allclose(al._fisher_marginal(1.0, n)[0] * c, 4.0, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("n_s", [1e4, 1e6])
 def test_allocation_residual_holds_for_the_returned_photons(n_s):
     # The Lagrange level falls like 1/N_S^2, so only a relative bisection

@@ -207,8 +207,8 @@ def test_campaign_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_campaign_working_memory_is_one_chunk():
-    # The M = 200 state and its checks take about 10 MB; one (trials, M)
-    # array of 2e4 trials alone would take 32 MB.
+    # The M = 200 marginal is three length-M vectors and a chunk's buffers
+    # are 1 MB; one (trials, M) array of 2e4 trials alone would take 32 MB.
     cfg = pr.SensorNetworkConfig(200, 10.0, 0.9, seed=3, trials=20_000)
     tracemalloc.start()
     try:
@@ -332,3 +332,63 @@ def test_campaign_accepts_the_largest_seed_word():
     cfg = pr.SensorNetworkConfig(2, 1.0, 0.9, seed=(pr.SEED_MAX, 0), trials=10)
     assert pr.simulate_displacement_protocol(cfg).trials == 10
     assert pr.simulate_phase_protocol(2, 1.0, 100.0, 0.9, 0.01, 10, seed=(pr.SEED_MAX, 0)).trials == 10
+
+
+def _campaign_inputs(monkeypatch, run):
+    """(mean, a, c, v) that run() hands to the Monte Carlo kernel."""
+    seen = []
+    monkeypatch.setattr(pr, "_run_campaign", lambda *args, **kw: seen.append(args[:4]))
+    run()
+    (inputs,) = seen
+    return inputs
+
+
+def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    for _ in range(60):
+        m = int(rng.integers(1, 51))
+        het = rng.random() < 0.5
+        eta = rng.uniform(0.05, 1.0, m) if het else rng.choice([1.0, rng.uniform(0.05, 1.0)])
+        cfg = pr.SensorNetworkConfig(
+            m, 10 ** rng.uniform(-2, 4), eta, weights=rng.dirichlet(np.ones(m)) if het else None,
+            scheme="product" if not het and rng.random() < 0.5 else "entangled",
+            alpha_true=rng.uniform(-1.0, 1.0))
+        mean, a, c, v = _campaign_inputs(
+            monkeypatch, lambda: pr.simulate_displacement_protocol(cfg))
+        dense = g.displace_all(
+            g.apply_loss(pr._build_input_for_config(cfg), g.LossChannel(cfg.eta)), cfg.alpha_true)
+        np.testing.assert_allclose(mean, dense.mean_block("x"), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(a * np.eye(m) + c * np.outer(v, v), dense.cov_block("x"),
+                                   rtol=0.0, atol=1e-12)
+        if cfg.scheme == "product":  # bit for bit, so product draws match the dense route's
+            assert np.all(np.diag(dense.cov_block("x")) == a) and c == 0.0
+    for _ in range(20):
+        m = int(rng.integers(1, 31))
+        args = (m, 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(0, 3), rng.uniform(0.05, 1.0),
+                rng.uniform(-0.29, 0.29))
+        mean, a, c, v = _campaign_inputs(
+            monkeypatch, lambda: pr.simulate_phase_protocol(*args, trials=1, seed=0))
+        dense = pr.build_phase_network_state(*args)
+        scale = max(1.0, np.abs(mean).max())  # the drive's mean grows like sqrt(N_v)
+        np.testing.assert_allclose(mean, dense.mean_block("p")[:m], rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(a * np.eye(m) + c * np.outer(v, v),
+                                   dense.cov_block("p")[:m, :m], rtol=0.0, atol=1e-12)
+
+
+def test_campaigns_build_no_dense_network_state(monkeypatch):
+    built = []
+    for cls in (g.GaussianState, g.SymplecticTransform):
+        def counting(self, post_init=cls.__post_init__):
+            post_init(self)
+            built.append((type(self).__name__, self.num_modes))
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh called"))
+    for scheme, weights in (("entangled", None), ("entangled", [0.5, 0.2, 0.3]), ("product", None)):
+        cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, weights=weights, scheme=scheme, trials=10)
+        pr.simulate_displacement_protocol(cfg)
+    assert built == []
+    # Phase: one two-mode Mach-Zehnder pair stands for all M, whatever M.
+    pr.simulate_phase_protocol(30, 2.0, 100.0, 0.9, 0.01, 10, seed=0)
+    assert [name for name, _ in built].count("GaussianState") == 6
+    assert max(modes for _, modes in built) == 2
