@@ -6,7 +6,7 @@ exact invocation, seed, version and output checksum; identical
 (command, config, seed) produce byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 usage/config error, 2 statistical-validation
-failure, 3 optimizer non-convergence.
+failure, 3 non-convergence (any RuntimeError).
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ SEED = click.IntRange(0, SEED_MAX)
 
 
 class StatisticalFailure(Exception):
-    pass
-
-
-class ConvergenceFailure(Exception):
     pass
 
 
@@ -255,11 +251,11 @@ def cmd_monte_carlo(config_path, seed, trials, out):
                 seed=(base_seed, index),
                 trials=case_trials,
             )
+            report = protocols.simulate_displacement_protocol(cfg)
         except (KeyError, ValueError) as exc:
             raise click.UsageError(f"{config_path}: case {index}: {exc}")
         if cfg.total_photons > protocols.SQUEEZING_CAP_PHOTONS and not notes:
             notes.append(protocols.SQUEEZING_CAP_NOTE)
-        report = protocols.simulate_displacement_protocol(cfg)
         sigmas = report.agreement_sigmas()
         status = "PASS" if sigmas < 4.0 else "FAIL"
         all_pass &= status == "PASS"
@@ -324,8 +320,6 @@ def cmd_weighted(config_path, out):
                      alloc_opt.iterations))
     except ValueError as exc:
         raise click.UsageError(f"{config_path}: {exc}")
-    except RuntimeError as exc:
-        raise ConvergenceFailure(str(exc))
     body = _write_csv(
         out, ["kind", "objective", "weights", "photons", "kkt_residual", "iterations"], rows
     )
@@ -456,8 +450,8 @@ def main(argv=None):
     except StatisticalFailure as exc:
         click.echo(f"statistical validation failed: {exc}", err=True)
         return EXIT_STATISTICAL
-    except ConvergenceFailure as exc:
-        click.echo(f"optimizer did not converge: {exc}", err=True)
+    except RuntimeError as exc:  # after Abort, which is a RuntimeError too
+        click.echo(f"did not converge: {exc}", err=True)
         return EXIT_NONCONVERGENCE
     return 0
 

@@ -9,7 +9,7 @@ generators, applied through a real eigenbasis cached per cutoff.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,49 +20,29 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-8
 TAIL_TOL = 1e-6
-EIG_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Complex D x D matrix in the number basis with its cutoff D."""
+    """The operator X X^dag in the number basis, built from its D x k factor X.
 
-    matrix: np.ndarray
-    cutoff: int = 0
+    X is kept, not copied, and made read-only; matrix is X X^dag and cutoff D.
+    """
+
+    factor: np.ndarray
+    matrix: np.ndarray = field(init=False)
+    cutoff: int = field(init=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("Fock operator must be a square matrix")
+        x = np.asarray(self.factor, dtype=complex)
+        if x.ndim != 2:
+            raise ValueError("Fock factor must be a matrix")
+        mat = x @ x.conj().T
+        for arr in (x, mat):
+            arr.setflags(write=False)
+        object.__setattr__(self, "factor", x)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "cutoff", mat.shape[0])
-        self.matrix.setflags(write=False)
-
-    @classmethod
-    def from_factor(cls, factor):
-        """The operator X X^dag, keeping X as its factor: not copied, made read-only."""
-        x = np.asarray(factor, dtype=complex)
-        op = cls(x @ x.conj().T)
-        x.setflags(write=False)
-        op.__dict__["factor"] = x  # fills the cached property below
-        return op
-
-    @functools.cached_property
-    def factor(self):
-        """X with X X^dag = matrix; raises if the matrix is not PSD.
-
-        Built on first use from eigh of the Hermitian part, unless the
-        operator came from from_factor.
-        """
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.conj().T))
-        if not (eigvals.min() >= -PSD_TOL):
-            raise ValueError(f"operator is not PSD (min eig {eigvals.min():.3e})")
-        # Zero the roundoff-level eigenvalues: sqrt amplifies 1e-16 noise to
-        # 1e-8 per level, which would dominate the fidelity error budget.
-        eigvals = np.where(eigvals < EIG_FLOOR, 0.0, eigvals)
-        x = eigvecs * np.sqrt(eigvals)
-        x.setflags(write=False)
-        return x
+        object.__setattr__(self, "cutoff", x.shape[0])
 
     def trace(self):
         return complex(np.trace(self.matrix))
@@ -209,7 +189,7 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     _apply_generator("squeeze", r, x)
     x *= rotation_phases(theta, cutoff)[:, None]
     _apply_displacement(beta, x)
-    op = FockOperator.from_factor(x)
+    op = FockOperator(x)
     _validate_density(op.matrix, trace_tol)
     return op
 

@@ -14,7 +14,6 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-10
-EIGENVALUE_FLOOR = 1e-14
 
 
 def symplectic_form(num_modes):
@@ -310,28 +309,28 @@ def displace_all(state, alpha):
     return GaussianState(mean, state.cov)
 
 
-def homodyne_samples(mean, a, c, v, rng, normals, out):
+def homodyne_samples(mean, a, top, unit, rng, normals, out):
     """Fill out, shape (n, M), with n joint homodyne outcomes and return it.
 
     The measured quadratures have mean `mean` (length M) and covariance
-    a I + c v v^T, the form of every pipeline marginal. Normals z give
-    x = mean + sqrt(a) z + b v^ (v^ . z) with v^ = v/|v| and
-    b = sqrt(a + c|v|^2) - sqrt(a), O(M) per trial. normals is caller-owned
-    scratch of out's shape, overwritten, so a caller that reuses both
-    buffers allocates only O(n + M) per call; reproducible given rng.
+    a I + (top - a) u u^T, the form of every pipeline marginal: variance top
+    along the unit vector u = `unit` (or zero) and a across it. Normals z give
+    x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M) per trial.
+    normals is caller-owned scratch of out's shape, overwritten, so a caller
+    that reuses both buffers allocates only O(n + M) per call; reproducible
+    given rng.
     """
-    v = np.asarray(v, dtype=float)
-    norm2 = v @ v
-    top = a + c * norm2  # the variance along v; a along every other direction
-    if not (a >= 0.0 and top >= -EIGENVALUE_FLOOR):  # nan fails this too
-        raise ValueError(f"quadrature covariance is not PSD (eigenvalues {a:.3e}, {top:.3e})")
-    unit = v / np.sqrt(norm2) if norm2 > 0.0 else v
+    unit = np.asarray(unit, dtype=float)
+    # nan fails every test here, and u . u is nan or inf when any entry of u is.
+    if not (0.0 <= a < np.inf and 0.0 <= top < np.inf and np.isfinite(unit @ unit)):
+        raise ValueError(f"quadrature covariance is not finite and PSD "
+                         f"(eigenvalues {a:.3e}, {top:.3e})")
     rng.standard_normal(out=normals)
-    # One (n x 2)(2 x M) product, [z . v^, 1] [b v^; mean], then sqrt(a) z in place.
+    # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
     left = np.empty((2, normals.shape[0]))
     np.matmul(normals, unit, out=left[0])
     left[1] = 1.0
-    np.matmul(left.T, np.stack([(np.sqrt(max(top, 0.0)) - np.sqrt(a)) * unit, mean]), out=out)
+    np.matmul(left.T, np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean]), out=out)
     normals *= np.sqrt(a)
     out += normals
     return out

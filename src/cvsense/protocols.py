@@ -44,6 +44,12 @@ EIGHT_DB_NOTE = (
 # numpy splits a SeedSequence word >= 2^32, so (2^32 + 1, 0) would draw (1, 1)'s stream.
 SEED_MAX = 2**32 - 1
 
+# Largest N_S the displacement campaign samples. Per-node float64 outcomes
+# resolve the squeezed variance e^{-2r}/4 ~ 1/(16 N_S) to N_S = 1e24 at
+# M <= 1000; M = 7 fails at 1e28 and every M at 1e32. The bound keeps four
+# decades of margin below the largest N_S measured to pass.
+SAMPLER_MAX_PHOTONS = 1e20
+
 # Normals per Monte Carlo chunk: the campaign's two sample buffers stay
 # near 512 KB each, whatever the node count.
 CHUNK_NORMALS = 1 << 16
@@ -175,10 +181,10 @@ class EstimatorReport:
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
 
 
-def _run_campaign(mean, a, c, v, weights, target, trials, seed, analytic_rms, scheme):
+def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms, scheme):
     """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
 
-    The measured quadratures have mean `mean` and covariance a I + c v v^T;
+    The measured quadratures have mean `mean` and covariance a I + (top - a) unit unit^T;
     each trial's estimate is weights @ outcomes. The buffers are built once,
     and every chunk of CHUNK_NORMALS normals is drawn and reduced in place.
     """
@@ -193,7 +199,7 @@ def _run_campaign(mean, a, c, v, weights, target, trials, seed, analytic_rms, sc
     sum_sq = 0.0
     for start in range(0, trials, rows):
         n = min(rows, trials - start)
-        block = gaussian.homodyne_samples(mean, a, c, v, rng, normals[:n], samples[:n])
+        block = gaussian.homodyne_samples(mean, a, top, unit, rng, normals[:n], samples[:n])
         chunk = np.matmul(block, weights, out=est[:n])
         sum_est += chunk.sum()
         chunk -= target
@@ -227,18 +233,24 @@ def _build_input_for_config(cfg, axis="x"):
 
 
 def _x_marginal(cfg):
-    """(a, c, v) of the post-loss x-covariance a I + c v v^T, in O(M).
+    """(a, top, unit) of the post-loss x-covariance a I + (top - a) unit unit^T, in O(M).
 
     The squeezed mode (x-variance s) spreads along the splitter's unit first row u,
     I/4 + (s - 1/4) u u^T, and loss maps u to v = sqrt(eta) u (Weedbrook et al.,
-    RMP 84, 621 (2012)). Product nodes are independent: c = 0.
+    RMP 84, 621 (2012)): variance 1/4 across v and s|v|^2 + (1 - |v|^2)/4 along it,
+    with 1 - |v|^2 = sum (1 - eta) u^2, exactly 0 at eta = 1. Product nodes are
+    independent: top = a.
     """
     if cfg.scheme == "product":  # uniform; eta formed as apply_loss forms it, d * d
         s, d = squeezed_variances(cfg.total_photons / cfg.num_nodes)[0], np.sqrt(cfg.eta[0])
-        return s * (d * d) + (1.0 - d * d) / 4.0, 0.0, np.zeros(cfg.num_nodes)
+        a = s * (d * d) + (1.0 - d * d) / 4.0
+        return a, a, np.zeros(cfg.num_nodes)
     u = _splitter_row(cfg)
-    v = np.sqrt(cfg.eta) * u / np.sqrt(u @ u)
-    return 0.25, squeezed_variances(cfg.total_photons)[0] - 0.25, v
+    u = u / np.sqrt(u @ u)
+    v = np.sqrt(cfg.eta) * u
+    norm2 = v @ v
+    top = squeezed_variances(cfg.total_photons)[0] * norm2 + 0.25 * ((1.0 - cfg.eta) @ (u * u))
+    return 0.25, top, v / np.sqrt(norm2)
 
 
 def analytic_config_rms(cfg):
@@ -261,7 +273,15 @@ def analytic_rms_for_scheme(cfg):
 
 
 def simulate_displacement_protocol(cfg):
-    """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times."""
+    """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times.
+
+    Raises ValueError above SAMPLER_MAX_PHOTONS, before drawing anything.
+    """
+    if cfg.total_photons > SAMPLER_MAX_PHOTONS:
+        raise ValueError(
+            f"N_S = {cfg.total_photons:g} exceeds the sampler bound {SAMPLER_MAX_PHOTONS:g}: "
+            "float64 outcomes cannot resolve the squeezed variance"
+        )
     if cfg.total_photons > SQUEEZING_CAP_PHOTONS:
         import warnings
 
@@ -363,7 +383,7 @@ def simulate_phase_protocol(
     pair = build_phase_network_state(1, total_photons, m * ancilla_photons, eta, dphi_true)
     u, scale = np.full(m, 1.0 / np.sqrt(m)), 2.0 / (np.sqrt(eta * ancilla_photons) * m)
     return _run_campaign(
-        pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0] - 0.25, u, np.full(m, scale),
+        pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0], u, np.full(m, scale),
         target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
         scheme="phase-entangled",

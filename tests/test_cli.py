@@ -258,6 +258,17 @@ def test_monte_carlo_rejects_heterogeneous_product(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_monte_carlo_exits_1_above_the_sampler_bound(tmp_path, capsys):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text("seed = 3\ntrials = 100\n[case]\nM = 2\nN_S = 2.0\n"
+                   f"[case]\nM = 2\nN_S = {10 * protocols.SAMPLER_MAX_PHOTONS:g}\n")
+    out = tmp_path / "mc.csv"
+    assert run(["monte-carlo", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "case 1: N_S = 1e+21 exceeds the sampler bound" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("seed = 3\ntrials = 20000\n[case]\nM = 2\nN_S = 2.0\n"

@@ -70,8 +70,8 @@ def test_fidelity_unitary_invariance():
     s2 = fock.gaussian_to_fock(g.coherent_state(0.3), cutoff)
     base = fock.fock_fidelity(s1, s2)
     disp = fock.displacement_operator(0.25 + 0.1j, cutoff)
-    moved1 = fock.FockOperator(disp @ s1.matrix @ disp.conj().T)
-    moved2 = fock.FockOperator(disp @ s2.matrix @ disp.conj().T)
+    moved1 = fock.FockOperator(disp @ s1.factor)
+    moved2 = fock.FockOperator(disp @ s2.factor)
     assert fock.fock_fidelity(moved1, moved2) == pytest.approx(base, abs=1e-9)
 
 
@@ -198,20 +198,10 @@ def test_fidelity_matches_closed_form_on_random_states(rng):
         assert got == pytest.approx(fisher.gaussian_fidelity(a, b), abs=1e-9)
 
 
-def test_raw_operator_factor_reproduces_matrix():
+def test_operator_is_built_from_its_factor():
     rho = fock.gaussian_to_fock(g.GaussianState(np.array([0.3, -0.2]), 0.3 * np.eye(2)), 40)
-    raw = fock.FockOperator(np.array(rho.matrix))
-    assert np.abs(raw.factor @ raw.factor.conj().T - raw.matrix).max() < 1e-13
-    assert np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max() == 0.0
-    assert fock.fock_fidelity(raw, rho) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fidelity_rejects_non_psd_raw_operator():
-    mat = np.zeros((6, 6), dtype=complex)
-    mat[:2, :2] = [[0.5, 0.5 + 1e-6], [0.5 + 1e-6, 0.5]]  # eigenvalues 1 + 1e-6 and -1e-6
-    bad = fock.FockOperator(mat)
-    good = fock.gaussian_to_fock(g.vacuum_state(1), 6)
-    with pytest.raises(ValueError, match="not PSD"):
-        fock.fock_fidelity(good, bad)
-    with pytest.raises(ValueError, match="not PSD"):
-        fock.fock_fidelity(bad, good)
+    assert rho.cutoff == 40 and rho.factor.shape[0] == 40
+    assert np.array_equal(rho.matrix, rho.factor @ rho.factor.conj().T)
+    assert not (rho.factor.flags.writeable or rho.matrix.flags.writeable)
+    with pytest.raises(ValueError, match="matrix"):
+        fock.FockOperator(np.ones(4))

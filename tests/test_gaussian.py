@@ -185,45 +185,55 @@ def test_displace_all_and_ordering():
     assert disp_then_loss.mean[0] == pytest.approx(np.sqrt(eta) * 1.3)
 
 
-def _homodyne(mean, a, c, v, num_samples, rng):
-    """num_samples joint outcomes of N(mean, a I + c v v^T), in freshly allocated buffers."""
+def _homodyne(mean, a, top, unit, num_samples, rng):
+    """num_samples outcomes of N(mean, a I + (top - a) u u^T), in freshly allocated buffers."""
     out = np.empty((num_samples, np.size(mean)))
-    return g.homodyne_samples(np.asarray(mean, dtype=float), a, c, v, rng, np.empty_like(out), out)
+    return g.homodyne_samples(np.asarray(mean, dtype=float), a, top, unit, rng,
+                              np.empty_like(out), out)
 
 
 def test_homodyne_sampling_statistics():
     rng = np.random.default_rng(42)
-    draws = _homodyne([0.0], 0.25, 0.0, np.zeros(1), 1_000_000, rng)  # vacuum
+    draws = _homodyne([0.0], 0.25, 0.25, np.zeros(1), 1_000_000, rng)  # vacuum
     assert abs(draws.mean()) < 3.0 * 0.5 / 1e3
     assert draws.var() == pytest.approx(0.25, rel=0.01)
 
 
 def test_homodyne_entangled_mean_variance():
-    # The lossless 4-node entangled input: I/4 + (s - 1/4) u u^T, u = 1/2.
+    # The lossless 4-node entangled input: variance s along u = 1/2, 1/4 across it.
     rng = np.random.default_rng(7)
     s = g.squeezed_variances(4.0)[0]
-    draws = _homodyne(np.zeros(4), 0.25, s - 0.25, np.full(4, 0.5), 1_000_000, rng)
+    draws = _homodyne(np.zeros(4), 0.25, s, np.full(4, 0.5), 1_000_000, rng)
     est = draws.mean(axis=1)
     target = 1.0 / (16.0 * (np.sqrt(5.0) + 2.0) ** 2)  # 3.4826e-3
     assert est.var() == pytest.approx(target, rel=0.01)
 
 
 def test_homodyne_covariance_consistency(rng):
-    # c < 0 is a squeezed marginal, c > 0 the phase network's anti-squeezing leak.
-    for c in (-0.2, 0.0, 0.7):
-        mean, v = rng.uniform(-0.5, 0.5, 4), rng.uniform(-1.0, 1.0, 4)
-        v /= np.sqrt(v @ v)  # a + c |v|^2 > 0 for every c here
+    # top < a is a squeezed marginal, top > a the phase network's anti-squeezing leak.
+    for top in (0.05, 0.25, 0.95):
+        mean, unit = rng.uniform(-0.5, 0.5, 4), rng.uniform(-1.0, 1.0, 4)
+        unit /= np.sqrt(unit @ unit)
         a, n = 0.25, 200_000
-        draws = _homodyne(mean, a, c, v, n, np.random.default_rng(5))
-        ana = a * np.eye(4) + c * np.outer(v, v)
+        draws = _homodyne(mean, a, top, unit, n, np.random.default_rng(5))
+        ana = a * np.eye(4) + (top - a) * np.outer(unit, unit)
         # Standard errors of each mean and covariance entry for Gaussian data.
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5.0 * np.sqrt(np.diag(ana) / n))
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / n)
         assert np.all(np.abs(np.cov(draws.T) - ana) < 5.0 * se)
 
 
+def test_homodyne_resolves_the_variance_along_unit_at_any_scale():
+    # The along-u variance comes in as it is, so a tiny one is not lost next to a:
+    # 6e-26 is the squeezed variance at N_S = 1e24.
+    unit = np.full(4, 0.5)
+    for top in (1e-14, 6e-26):
+        draws = _homodyne(np.zeros(4), 0.25, top, unit, 100_000, np.random.default_rng(3))
+        assert abs((draws @ unit).var() / top - 1.0) < 0.02
+
+
 def test_homodyne_reproducible():
-    args = (np.full(2, 0.3), 0.25, -0.1, np.array([0.6, 0.8]))
+    args = (np.full(2, 0.3), 0.25, 0.15, np.array([0.6, 0.8]))
     a = _homodyne(*args, 3, np.random.default_rng(9))
     b = _homodyne(*args, 3, np.random.default_rng(9))
     assert np.array_equal(a, b)
@@ -238,22 +248,17 @@ def test_homodyne_reproducible():
 
 
 @pytest.mark.parametrize(
-    "a,c,v",
+    "a,top,v",  # v is the unit vector
     [(-1e-3, 0.0, np.zeros(3)), (0.25, -0.5, np.full(3, 0.5)), (0.25, -0.25 - 1e-12, [1.0, 0, 0]),
-     (np.nan, 0.0, np.zeros(3)), (0.25, np.nan, np.ones(3)), (0.25, 0.0, [np.nan, 0, 0])],
+     (np.nan, 0.0, np.zeros(3)), (0.25, np.nan, np.ones(3)), (0.25, 0.0, [np.nan, 0, 0]),
+     (0.25, -1e-300, np.ones(3)), (np.inf, 0.25, np.zeros(3)), (0.25, np.inf, np.ones(3)),
+     (0.25, 0.1, [0.0, np.inf, 0.0])],
 )
-def test_homodyne_rejects_non_physical_marginals(a, c, v):
+def test_homodyne_rejects_non_physical_marginals(a, top, v):
     out = np.empty((2, 3))
-    with pytest.raises(ValueError, match="not PSD"):
-        g.homodyne_samples(np.zeros(3), a, c, v, np.random.default_rng(0), np.empty_like(out), out)
-
-
-def test_homodyne_samples_round_off_below_zero_as_zero():
-    # A variance along v down to -EIGENVALUE_FLOOR is round-off: no draw along v.
-    out = np.empty((3, 3))
-    draws = g.homodyne_samples(np.zeros(3), 0.25, -0.25 - 0.5 * g.EIGENVALUE_FLOOR,
-                               [1.0, 0.0, 0.0], np.random.default_rng(0), np.empty_like(out), out)
-    assert np.all(draws[:, 0] == 0.0) and np.all(draws[:, 1:] != 0.0)
+    with pytest.raises(ValueError, match="not finite and PSD"):
+        g.homodyne_samples(np.zeros(3), a, top, v, np.random.default_rng(0),
+                           np.empty_like(out), out)
 
 
 def test_state_validation():

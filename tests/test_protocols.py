@@ -190,6 +190,26 @@ def test_monte_carlo_determinism():
     assert a.empirical_rms_error == b.empirical_rms_error
 
 
+@pytest.mark.parametrize("n_s", [1e14, 1e16, 1e20])
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_monte_carlo_resolves_large_squeezing(m, n_s):
+    # The squeezed variance e^{-2r}/4 ~ 1/(16 N_S) reaches the sampler as it is,
+    # never as 1/4 + (s - 1/4), which at N_S = 1e14 is already off by percents.
+    for seed in range(1, 5):
+        cfg = pr.SensorNetworkConfig(m, n_s, 1.0, alpha_true=0.1, seed=seed, trials=200_000)
+        with pytest.warns(UserWarning, match="40 dB"):
+            report = pr.simulate_displacement_protocol(cfg)
+        assert report.agreement_sigmas() < 4.0
+
+
+def test_monte_carlo_rejects_photons_above_the_sampler_bound(monkeypatch):
+    monkeypatch.setattr(pr, "_run_campaign", lambda *args, **kw: pytest.fail("sampled"))
+    for n_s in (np.nextafter(pr.SAMPLER_MAX_PHOTONS, np.inf), 1e300):
+        cfg = pr.SensorNetworkConfig(4, n_s, 1.0, trials=10)
+        with pytest.raises(ValueError, match="sampler bound"):
+            pr.simulate_displacement_protocol(cfg)
+
+
 def test_campaign_does_not_depend_on_the_chunk_size(monkeypatch):
     # PCG64 fills normals in stream order, so only the summation order changes.
     def run():
@@ -335,7 +355,7 @@ def test_campaign_accepts_the_largest_seed_word():
 
 
 def _campaign_inputs(monkeypatch, run):
-    """(mean, a, c, v) that run() hands to the Monte Carlo kernel."""
+    """(mean, a, top, unit) that run() hands to the Monte Carlo kernel."""
     seen = []
     monkeypatch.setattr(pr, "_run_campaign", lambda *args, **kw: seen.append(args[:4]))
     run()
@@ -353,25 +373,25 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
             m, 10 ** rng.uniform(-2, 4), eta, weights=rng.dirichlet(np.ones(m)) if het else None,
             scheme="product" if not het and rng.random() < 0.5 else "entangled",
             alpha_true=rng.uniform(-1.0, 1.0))
-        mean, a, c, v = _campaign_inputs(
+        mean, a, top, unit = _campaign_inputs(
             monkeypatch, lambda: pr.simulate_displacement_protocol(cfg))
         dense = g.displace_all(
             g.apply_loss(pr._build_input_for_config(cfg), g.LossChannel(cfg.eta)), cfg.alpha_true)
         np.testing.assert_allclose(mean, dense.mean_block("x"), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(a * np.eye(m) + c * np.outer(v, v), dense.cov_block("x"),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(a * np.eye(m) + (top - a) * np.outer(unit, unit),
+                                   dense.cov_block("x"), rtol=0.0, atol=1e-12)
         if cfg.scheme == "product":  # bit for bit, so product draws match the dense route's
-            assert np.all(np.diag(dense.cov_block("x")) == a) and c == 0.0
+            assert np.all(np.diag(dense.cov_block("x")) == a) and top == a
     for _ in range(20):
         m = int(rng.integers(1, 31))
         args = (m, 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(0, 3), rng.uniform(0.05, 1.0),
                 rng.uniform(-0.29, 0.29))
-        mean, a, c, v = _campaign_inputs(
+        mean, a, top, unit = _campaign_inputs(
             monkeypatch, lambda: pr.simulate_phase_protocol(*args, trials=1, seed=0))
         dense = pr.build_phase_network_state(*args)
         scale = max(1.0, np.abs(mean).max())  # the drive's mean grows like sqrt(N_v)
         np.testing.assert_allclose(mean, dense.mean_block("p")[:m], rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(a * np.eye(m) + c * np.outer(v, v),
+        np.testing.assert_allclose(a * np.eye(m) + (top - a) * np.outer(unit, unit),
                                    dense.cov_block("p")[:m, :m], rtol=0.0, atol=1e-12)
 
 
