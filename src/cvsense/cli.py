@@ -397,9 +397,9 @@ def cmd_phase(config_path, seed, trials, out):
             report = protocols.simulate_phase_protocol(
                 m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
             )
+            _, exact_sd, exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        _, exact_sd, exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)
         linearized = report.analytic_rms
         rows.append((
             dphi, report.trials, report.empirical_mean,

@@ -61,10 +61,14 @@ class SqueezedThermalParams:
         )
 
 
+def _check_transmissivity(eta):
+    if not (0.0 < eta <= 1.0):  # nan fails this too
+        raise ValueError("transmissivity must lie in (0, 1]")
+
+
 def lossy_state(params, eta, displacement=0.0):
     """State after a transmissivity-eta channel and an x-displacement."""
-    if eta <= 0.0 or eta > 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
+    _check_transmissivity(eta)
     mean = np.sqrt(eta) * params.mean + np.array([displacement, 0.0])
     cov = eta * params.covariance() + (1.0 - eta) * np.eye(2) / 4.0
     return GaussianState(mean, cov)
@@ -138,8 +142,7 @@ def fisher_closed_form(params, eta):
 
     Independent of the mean (displacement covariance).
     """
-    if eta <= 0.0 or eta > 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
+    _check_transmissivity(eta)
     r, n, theta = params.r, params.n, params.theta
     er = np.exp(r)
     nu = 2.0 * n + 1.0
@@ -154,8 +157,9 @@ def fisher_max(n_photons, eta):
     The optimum is an undisplaced, unrotated, zero-temperature squeezed
     state using the whole budget: r = arccosh(2N+1).
     """
-    if n_photons < 0:
+    if not (n_photons >= 0):  # nan fails this too
         raise ValueError("photon budget must be nonnegative")
+    _check_transmissivity(eta)
     value = 4.0 / noise_kernel(eta, n_photons)
     argmax = SqueezedThermalParams(r=float(np.arccosh(2.0 * n_photons + 1.0)))
     return float(value), argmax

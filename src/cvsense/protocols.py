@@ -50,6 +50,13 @@ SEED_MAX = 2**32 - 1
 # decades of margin below the largest N_S measured to pass.
 SAMPLER_MAX_PHOTONS = 1e20
 
+# Largest N_S the phase network is built at. Its anti-squeezed variance grows
+# like N_S, so the round-off in the dense state's uncertainty check grows like
+# eps N_S and passes gaussian.UNCERTAINTY_TOL. Over M in {1, 2, 4, 10, 50, 100,
+# 200, 400}, eta in {0.5, 1} and dphi in {0.005, 0.1, 0.29}, the lowest N_S that
+# failed was 10^6 (M = 200); the bound keeps a decade of margin below it.
+PHASE_MAX_PHOTONS = 1e5
+
 # Normals per Monte Carlo chunk: the campaign's two sample buffers stay
 # near 512 KB each, whatever the node count.
 CHUNK_NORMALS = 1 << 16
@@ -337,7 +344,13 @@ def build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dp
 
     Modes 0..M-1 carry the entangled signal (squeezed in p), modes
     M..2M-1 the coherent drives; loss eta acts on the signal outputs.
+    Raises ValueError above PHASE_MAX_PHOTONS, before building anything.
     """
+    if total_photons > PHASE_MAX_PHOTONS:
+        raise ValueError(
+            f"N_S = {total_photons:g} exceeds the phase bound {PHASE_MAX_PHOTONS:g}: "
+            "the dense network state's uncertainty check fails on round-off above it"
+        )
     m = num_nodes
     signal = build_entangled_input(m, total_photons, axis="p")
     drives = [coherent_state(np.sqrt(ancilla_photons)) for _ in range(m)]

@@ -269,6 +269,18 @@ def test_monte_carlo_exits_1_above_the_sampler_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_phase_exits_1_above_the_phase_bound(tmp_path, capsys):
+    # M = 4 at 10^7 photons is physical, but its dense state fails the
+    # uncertainty check on round-off; the bound refuses it first.
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text("M = 4\nN_S = 1e7\nN_v = 100\ndphi = 0.005\ntrials = 10\n")
+    out = tmp_path / "phase.csv"
+    assert run(["phase", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "N_S = 1e+07 exceeds the phase bound" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("seed = 3\ntrials = 20000\n[case]\nM = 2\nN_S = 2.0\n"

@@ -4,7 +4,7 @@ import pytest
 from cvsense import fisher as fi
 from cvsense import gaussian as g
 from cvsense import protocols as pr
-from cvsense.fock import fock_fidelity, gaussian_to_fock
+from cvsense.fock import fock_fidelity, gaussian_to_fock, thermal_populations
 
 
 def test_params_validation_and_photons():
@@ -171,3 +171,20 @@ def test_cr_bound_identity():
         assert fi.cr_bound_separable(m, n_s, eta) == pytest.approx(
             float(pr.product_rms_error(m, n_s, eta)), rel=1e-14
         )
+
+
+_SQUEEZED = fi.SqueezedThermalParams(r=1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fi.fisher_closed_form(_SQUEEZED, np.nan), "transmissivity"),
+    (lambda: fi.lossy_state(_SQUEEZED, np.nan), "transmissivity"),
+    (lambda: fi.fisher_max(np.nan, 0.9), "photon budget"),
+    (lambda: fi.fisher_max(1.0, np.nan), "transmissivity"),
+    (lambda: fi.fisher_max(1.0, 0.0), "transmissivity"),
+    (lambda: thermal_populations(np.nan, 5), "thermal occupation"),
+], ids=["closed-form-eta", "lossy-state-eta", "max-budget", "max-eta", "max-eta-zero",
+        "thermal-nbar"])
+def test_domain_checks_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -129,8 +129,8 @@ def test_validate_density_rejects_non_hermitian_and_nan():
             fock._validate_density(mat, fock.TRACE_TOL)
 
 
-def _dense_reference(state, cutoff):
-    """rho = U diag(p) U^dag with U = D R S formed as full operators, and the kept width."""
+def _dense_unitary(state, cutoff):
+    """U = D R S formed as full operators, and the thermal populations p."""
     eigvals, eigvecs = np.linalg.eigh(state.cov)
     nbar = max(0.0, (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0)
     r = 0.25 * np.log(eigvals[1] / eigvals[0])
@@ -138,8 +138,13 @@ def _dense_reference(state, cutoff):
     u = (fock.displacement_operator(state.mean[0] + 1j * state.mean[1], cutoff)
          @ np.diag(fock.rotation_phases(theta, cutoff))
          @ fock.squeeze_operator(r, cutoff))
-    probs = fock.thermal_populations(nbar, cutoff)
-    width = np.count_nonzero(np.sqrt(probs) >= np.finfo(float).eps)
+    return u, fock.thermal_populations(nbar, cutoff)
+
+
+def _dense_reference(state, cutoff):
+    """rho = U diag(p) U^dag, and the kept width: the columns with p_k >= eps."""
+    u, probs = _dense_unitary(state, cutoff)
+    width = np.count_nonzero(probs >= np.finfo(float).eps)
     return u @ np.diag(probs) @ u.conj().T, width
 
 
@@ -155,7 +160,7 @@ def test_gaussian_to_fock_matches_dense_products():
 @pytest.mark.parametrize("n", [0.0, 0.5, None])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gaussian_to_fock_factor_matches_dense_products_on_random_states(seed, n):
-    # X is formed on the columns with sqrt(p_k) >= eps only, in real gauge
+    # X is formed on the columns with p_k >= eps only, in real gauge
     # bases; the full products of D, R and S over every column agree.
     rng = np.random.default_rng(seed)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -178,10 +183,10 @@ def test_pure_thermal_part_keeps_one_column(state):
     assert np.abs(op.matrix - _dense_reference(state, 40)[0]).max() < 1e-13
 
 
-def _random_single_mode(rng):
+def _random_single_mode(rng, n_max=0.5):
     radius, phase = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * np.pi)
     params = fisher.SqueezedThermalParams(
-        r=rng.uniform(0.0, 1.2), n=rng.uniform(0.0, 0.5), theta=rng.uniform(0.0, np.pi),
+        r=rng.uniform(0.0, 1.2), n=rng.uniform(0.0, n_max), theta=rng.uniform(0.0, np.pi),
         mean=radius * np.array([np.cos(phase), np.sin(phase)]),
     )
     return params.to_state()
@@ -196,6 +201,25 @@ def test_fidelity_matches_closed_form_on_random_states(rng):
         a, b = _random_single_mode(rng), _random_single_mode(rng)
         got = fock.fock_fidelity(fock.gaussian_to_fock(a, cutoff), fock.gaussian_to_fock(b, cutoff))
         assert got == pytest.approx(fisher.gaussian_fidelity(a, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dropped_columns_move_fidelity_within_bound(seed):
+    # The factor drops the columns with p_k < eps; they are orthogonal with
+    # norms sqrt(p_k), so against the full-width D R S diag(sqrt(p)) the
+    # fidelity moves by at most 2 (tau_a + tau_b), tau the sum of a state's
+    # dropped sqrt(p_k).  Hot states (nbar up to 2) drop the largest tails.
+    rng = np.random.default_rng(seed)
+    cutoff, eps = 100, np.finfo(float).eps
+    for _ in range(10):
+        states = [_random_single_mode(rng, n_max=2.0) for _ in range(2)]
+        full, tau = [], 0.0
+        for state in states:
+            u, probs = _dense_unitary(state, cutoff)
+            full.append(fock.FockOperator(u * np.sqrt(probs)))
+            tau += np.sqrt(probs[probs < eps]).sum()
+        got = fock.fock_fidelity(*(fock.gaussian_to_fock(s, cutoff) for s in states))
+        assert abs(got - fock.fock_fidelity(*full)) <= 2.0 * tau
 
 
 def test_operator_is_built_from_its_factor():

@@ -321,6 +321,16 @@ def test_phase_guard():
             pr.simulate_phase_protocol(2, 2.0, n_v, 1.0, dphi, 100, seed=0)
 
 
+def test_phase_network_refuses_photons_above_the_phase_bound(monkeypatch):
+    pr.phase_exact_stats(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)
+    monkeypatch.setattr(pr, "build_entangled_input", lambda *args, **kw: pytest.fail("built"))
+    for n_s in (np.nextafter(pr.PHASE_MAX_PHOTONS, np.inf), 1e300):
+        with pytest.raises(ValueError, match="phase bound"):
+            pr.phase_exact_stats(4, n_s, 100.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="phase bound"):
+            pr.simulate_phase_protocol(4, n_s, 100.0, 1.0, 0.1, 100, seed=0)
+
+
 def test_known_discrepancy_note():
     notes = pr.known_discrepancies()
     assert any("8 dB" in note for note in notes)
