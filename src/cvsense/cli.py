@@ -397,7 +397,7 @@ def cmd_phase(config_path, seed, trials, out):
             report = protocols.simulate_phase_protocol(
                 m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
             )
-            _, exact_sd, exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)
+            exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)[2]
         except ValueError as exc:
             raise click.UsageError(str(exc))
         linearized = report.analytic_rms
@@ -413,7 +413,8 @@ def cmd_phase(config_path, seed, trials, out):
          "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"],
         rows,
     )
-    _write_manifest(out, run_seed, body)
+    notes = [protocols.SQUEEZING_CAP_NOTE] if n_s > protocols.SQUEEZING_CAP_PHOTONS else []
+    _write_manifest(out, run_seed, body, notes)
 
 
 def manifest_to_argv(manifest, out_path):

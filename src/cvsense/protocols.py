@@ -8,6 +8,7 @@ form, scaling diagnostics, and the Mach-Zehnder phase-sensing network.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,13 @@ SEED_MAX = 2**32 - 1
 SAMPLER_MAX_PHOTONS = 1e20
 
 # Largest N_S the phase network is built at. Its anti-squeezed variance grows
-# like N_S, so the round-off in the dense state's uncertainty check grows like
-# eps N_S and passes gaussian.UNCERTAINTY_TOL. Over M in {1, 2, 4, 10, 50, 100,
-# 200, 400}, eta in {0.5, 1} and dphi in {0.005, 0.1, 0.29}, the lowest N_S that
-# failed was 10^6 (M = 200); the bound keeps a decade of margin below it.
+# like N_S, so the round-off in the state's uncertainty check grows like eps N_S
+# and passes gaussian.UNCERTAINTY_TOL. The campaigns and exact stats build one
+# two-mode pair, whose covariance does not depend on the drive M N_v: over eta in
+# {0.5, 1}, dphi in {0.005, 0.1, 0.29}, N_v in {1, 1e2, 1e4, 1e6} and M up to 1e5,
+# it first failed at N_S = 10^7.25 (dphi = 0.29), whatever eta, N_v and M. The
+# bound keeps two decades of margin below it, and one below the dense M-mode
+# reference, whose round-off grows with M (10^6 at M = 200).
 PHASE_MAX_PHOTONS = 1e5
 
 # Normals per Monte Carlo chunk: the campaign's two sample buffers stay
@@ -290,8 +294,6 @@ def simulate_displacement_protocol(cfg):
             "float64 outcomes cannot resolve the squeezed variance"
         )
     if cfg.total_photons > SQUEEZING_CAP_PHOTONS:
-        import warnings
-
         warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     return _run_campaign(
         np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
@@ -325,8 +327,8 @@ def scaling_exponent(scheme, eta, photons_per_node, node_counts):
 
 def phase_rms_error(num_nodes, total_photons, ancilla_photons, eta):
     """Linearized rms error of the distributed Mach-Zehnder phase estimator."""
-    if not (ancilla_photons > 0):  # nan fails this too
-        raise ValueError("coherent drive photon number must be positive")
+    if not (0 < ancilla_photons < np.inf):  # nan fails this too
+        raise ValueError("coherent drive photon number must be finite and positive")
     return float(
         2.0 * entangled_rms_error(num_nodes, total_photons, eta)
         / np.sqrt(ancilla_photons)
@@ -366,15 +368,22 @@ def build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dp
     return apply_loss(state, LossChannel(etas))
 
 
+def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
+    """(mean, a, top, unit, weights) of the M signal p outputs and the estimator, in O(M)."""
+    phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain checks first
+    # The M identical MZ pairs act alike on the collective modes: one pair, whose drive holds
+    # all M N_v photons, meets the squeezed mode; its homodyned signal p lies along 1/sqrt(M).
+    pair = build_phase_network_state(1, total_photons, num_nodes * ancilla_photons, eta, dphi)
+    u = np.full(num_nodes, 1.0 / np.sqrt(num_nodes))
+    weights = np.full(num_nodes, 2.0 / (np.sqrt(eta * ancilla_photons) * num_nodes))
+    return pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0], u, weights
+
+
 def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
-    """(estimator mean, estimator sd, rms about dphi) from the exact state."""
-    m = num_nodes
-    state = build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dphi)
-    scale = 2.0 / (np.sqrt(eta * ancilla_photons) * m)
-    mean_p = state.mean_block("p")[:m]
-    cov_p = state.cov_block("p")[:m, :m]
-    est_mean = scale * mean_p.sum()
-    est_sd = scale * np.sqrt(cov_p.sum())
+    """(estimator mean, estimator sd, rms about dphi) from the exact marginal, in O(M)."""
+    mean, a, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
+    est_mean = w @ mean
+    est_sd = np.sqrt(a * (w @ w) + (top - a) * (w @ unit) ** 2)
     rms = np.sqrt(est_sd**2 + (est_mean - dphi) ** 2)
     return float(est_mean), float(est_sd), float(rms)
 
@@ -389,15 +398,11 @@ def simulate_phase_protocol(
         )
     if trials < 1:
         raise ValueError("trial count must be positive")
-    m = num_nodes
-    # The M identical MZ pairs act alike on the collective modes: one pair, whose drive
-    # holds all M N_v photons, meets the squeezed mode and the rest stay vacuum. Only the
-    # M signal outputs are homodyned, so its signal p output is embedded along 1/sqrt(M).
-    pair = build_phase_network_state(1, total_photons, m * ancilla_photons, eta, dphi_true)
-    u, scale = np.full(m, 1.0 / np.sqrt(m)), 2.0 / (np.sqrt(eta * ancilla_photons) * m)
+    marginal = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
+    if total_photons > SQUEEZING_CAP_PHOTONS:
+        warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     return _run_campaign(
-        pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0], u, np.full(m, scale),
-        target=dphi_true, trials=trials, seed=seed,
+        *marginal, target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
         scheme="phase-entangled",
     )

@@ -197,6 +197,7 @@ def test_phase_command(tmp_path, configs_dir):
                 "--trials", 50_000, "--out", out]) == 0
     _, rows = csv_rows(out)
     assert len(rows) == 3
+    assert manifest(out)["notes"] == []  # N_S = 2, far below the squeezing cap
     residuals = [float(r["linearization_residual"]) for r in rows]
     # Quadratic growth of the linearization residual across the dphi sweep.
     assert residuals[1] / residuals[0] == pytest.approx(4.0, abs=0.5)
@@ -288,6 +289,15 @@ def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
     out = tmp_path / "mc.csv"
     with pytest.warns(UserWarning, match="40 dB"):
         assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
+    assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]
+
+
+def test_phase_manifest_notes_squeezing_cap(tmp_path):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("M = 2\nN_S = 5e4\nN_v = 100\ndphi = 0.01\ntrials = 100\n")
+    out = tmp_path / "phase.csv"
+    with pytest.warns(UserWarning, match="40 dB"):
+        assert run(["phase", "--config", cfg, "--out", out]) == 0
     assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]
 
 
@@ -385,3 +395,20 @@ def test_negative_config_seed_names_the_key(tmp_path, capsys, command, text):
     config.write_text(text)
     assert run([command, "--config", config, "--out", tmp_path / "x.csv"]) == 1
     assert "bad value for 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("M = 2", "M = 0", "number of nodes must be >= 1"),
+    ("M = 2", "M = -3", "number of nodes must be >= 1"),
+    ("N_v = 100", "N_v = 0", "coherent drive photon number must be finite and positive"),
+    ("N_v = 100", "N_v = -5", "coherent drive photon number must be finite and positive"),
+    ("N_v = 100", "N_v = inf", "coherent drive photon number must be finite and positive"),
+], ids=["M=0", "M=-3", "N_v=0", "N_v=-5", "N_v=inf"])
+def test_phase_names_a_bad_node_count_or_drive(tmp_path, capsys, old, new, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(SMALL_PHASE.replace(old, new))
+    out = tmp_path / "x.csv"
+    assert run(["phase", "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "Warning" not in err
+    assert not out.exists()

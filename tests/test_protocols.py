@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvsense import cli
 from cvsense import gaussian as g
 from cvsense import protocols as pr
 
@@ -277,8 +278,9 @@ def test_phase_rms_error():
     assert pr.phase_rms_error(4, 4.0, 100.0, 1.0) == pytest.approx(0.0118034, abs=1e-7)
     for m in (1, 4):
         assert pr.phase_rms_error(m, 0.0, 64.0, 1.0) == pytest.approx(1.0 / np.sqrt(64.0 * m))
-    with pytest.raises(ValueError):
-        pr.phase_rms_error(2, 1.0, 0.0, 1.0)
+    for n_v in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="coherent drive"):
+            pr.phase_rms_error(2, 1.0, n_v, 1.0)
 
 
 def test_phase_estimator_is_locally_unbiased():
@@ -321,8 +323,23 @@ def test_phase_guard():
             pr.simulate_phase_protocol(2, 2.0, n_v, 1.0, dphi, 100, seed=0)
 
 
+@pytest.mark.parametrize("m, n_v, message", [
+    (0, 100.0, "number of nodes"), (-3, 100.0, "number of nodes"),
+    (2, 0.0, "coherent drive"), (2, -5.0, "coherent drive"), (2, np.inf, "coherent drive"),
+])
+def test_phase_checks_nodes_and_drive_before_building(monkeypatch, m, n_v, message):
+    # Tier-1 turns RuntimeWarnings into errors, so a 1/sqrt(M) or sqrt(N_v) formed
+    # before the checks would fail this too.
+    monkeypatch.setattr(pr, "build_phase_network_state", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match=message):
+        pr.simulate_phase_protocol(m, 2.0, n_v, 0.9, 0.01, 10, seed=0)
+    with pytest.raises(ValueError, match=message):
+        pr.phase_exact_stats(m, 2.0, n_v, 0.9, 0.01)
+
+
 def test_phase_network_refuses_photons_above_the_phase_bound(monkeypatch):
     pr.phase_exact_stats(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)
+    pr.build_phase_network_state(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)  # dense reference
     monkeypatch.setattr(pr, "build_entangled_input", lambda *args, **kw: pytest.fail("built"))
     for n_s in (np.nextafter(pr.PHASE_MAX_PHOTONS, np.inf), 1e300):
         with pytest.raises(ValueError, match="phase bound"):
@@ -403,9 +420,17 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
         np.testing.assert_allclose(mean, dense.mean_block("p")[:m], rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(a * np.eye(m) + (top - a) * np.outer(unit, unit),
                                    dense.cov_block("p")[:m, :m], rtol=0.0, atol=1e-12)
+        # phase_exact_stats reads that marginal; the dense state's estimator moments agree.
+        w = 2.0 / (np.sqrt(args[3] * args[2]) * m)
+        est_mean = w * dense.mean_block("p")[:m].sum()
+        est_sd = w * np.sqrt(dense.cov_block("p")[:m, :m].sum())
+        np.testing.assert_allclose(
+            pr.phase_exact_stats(*args),
+            (est_mean, est_sd, np.sqrt(est_sd**2 + (est_mean - args[4]) ** 2)),
+            rtol=1e-12, atol=0.0)
 
 
-def test_campaigns_build_no_dense_network_state(monkeypatch):
+def test_campaigns_build_no_dense_network_state(monkeypatch, tmp_path):
     built = []
     for cls in (g.GaussianState, g.SymplecticTransform):
         def counting(self, post_init=cls.__post_init__):
@@ -421,4 +446,9 @@ def test_campaigns_build_no_dense_network_state(monkeypatch):
     # Phase: one two-mode Mach-Zehnder pair stands for all M, whatever M.
     pr.simulate_phase_protocol(30, 2.0, 100.0, 0.9, 0.01, 10, seed=0)
     assert [name for name, _ in built].count("GaussianState") == 6
+    # So do the exact stats, and the phase command end to end.
+    pr.phase_exact_stats(30, 2.0, 100.0, 0.9, 0.01)
+    config = tmp_path / "phase.cfg"
+    config.write_text("M = 30\nN_S = 2\nN_v = 100\neta = 0.9\ndphi = 0.01, 0.1\ntrials = 10\n")
+    assert cli.main(["phase", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 0
     assert max(modes for _, modes in built) == 2
