@@ -8,6 +8,7 @@ weights is one water-filling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,34 +18,48 @@ KKT_TOL = 1e-8
 MAX_BISECTIONS = 200
 
 
+# Each check takes a scalar or an array; nan fails it, as every comparison with nan is false.
+def _check_nodes(num_nodes):
+    if not np.all(np.asarray(num_nodes) >= 1):
+        raise ValueError("number of nodes must be >= 1")
+
+
 def _check_etas(etas):
     # eta = 0 is excluded; model a dead node with weight 0 instead.
+    etas = np.asarray(etas, dtype=float)
     if not np.all((etas > 0.0) & (etas <= 1.0)):
         raise ValueError("transmissivities must lie in (0, 1]")
 
 
 def _check_budget(total_photons):
-    if not 0 <= total_photons < np.inf:  # nan fails this too
+    photons = np.asarray(total_photons, dtype=float)
+    if not np.all((photons >= 0.0) & (photons < np.inf)):
         raise ValueError("photon budget must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class WeightedNetwork:
-    """M nodes with estimator weights, per-node transmissivities and a photon budget."""
+    """M nodes with estimator weights, per-node transmissivities and a photon budget.
+
+    weights=None means uniform weights 1/M; a single transmissivity applies to every node.
+    """
 
     num_nodes: int
-    weights: np.ndarray
+    weights: np.ndarray | None
     etas: np.ndarray
     total_photons: float
 
     def __post_init__(self):
+        _check_nodes(self.num_nodes)  # before 1/M is formed
+        m = self.num_nodes
         # Copies, so that freezing them leaves the caller's arrays writable.
-        w = np.array(self.weights, dtype=float)
+        w = np.full(m, 1.0 / m) if self.weights is None else np.array(self.weights, dtype=float)
         etas = np.array(self.etas, dtype=float)
-        if w.size != self.num_nodes or etas.size != self.num_nodes:
+        if etas.size == 1:
+            etas = np.full(m, etas.item())
+        if w.size != m or etas.size != m:
             raise ValueError("weights and etas must have length num_nodes")
-        # Each test is written so that nan fails it: every comparison with nan is false.
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):  # nan fails too
             raise ValueError("weights must be nonnegative and sum to 1")
         _check_etas(etas)
         _check_budget(self.total_photons)
@@ -52,6 +67,11 @@ class WeightedNetwork:
         object.__setattr__(self, "etas", etas)
         self.weights.setflags(write=False)
         self.etas.setflags(write=False)
+
+    @property
+    def uniform(self):
+        """Equal weights and equal transmissivities on every node."""
+        return np.ptp(self.etas) == 0.0 and np.ptp(self.weights) == 0.0
 
 
 @dataclass
@@ -93,11 +113,6 @@ def weighted_entangled_rms(net):
     return weighted_rms(net.weights, net.etas, net.total_photons)
 
 
-def product_objective(net, photons):
-    """rms error of the weighted product scheme at a given allocation."""
-    return weighted_rms(net.weights, net.etas, photons)
-
-
 def _photons_at_level(gain, level):
     """Closed-form inverse of the stationarity condition -gain * kappa'(n) = level.
 
@@ -126,6 +141,23 @@ def _level_search(marginal, node_photons, budget, size):
     return node_photons(0.5 * (lo + hi)), it + 1
 
 
+def _in_float64_range(optimizer):
+    """Raise RuntimeError where the optimizer would overflow, divide by zero or make a nan.
+
+    A budget past ~1e154 photons overflows N(N+1), and a node whose share is below the
+    smallest float64 (eta ~ 1e-300) puts log(0) in the search: no result is returned.
+    """
+    @functools.wraps(optimizer)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return optimizer(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise RuntimeError(f"{optimizer.__name__} left the float64 range: {exc}") from None
+    return checked
+
+
+@_in_float64_range
 def allocate_photons_product(net):
     """Optimal photon split for the product scheme at fixed weights: every node with
     w_m^2 eta_m > 0 gets photons (its marginal diverges at zero), in closed form per level."""
@@ -143,7 +175,8 @@ def allocate_photons_product(net):
     residual = float((marginals.max() - marginals.min()) / marginals.max())
     photons = np.zeros(net.num_nodes)
     photons[active] = shares
-    return AllocationResult(photons, product_objective(net, photons), residual, iterations)
+    return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), residual,
+                            iterations)
 
 
 def optimal_weights_entangled(etas, total_photons):
@@ -168,6 +201,7 @@ def _fisher_marginal(etas, n):
     return 4.0 * etas * kappa / (root * c**2), slope
 
 
+@_in_float64_range
 def optimal_weights_product(etas, total_photons):
     """Jointly optimized weights and photon split for the product scheme.
 

@@ -5,8 +5,8 @@ Every command writes a CSV plus a JSON manifest sidecar recording the
 exact invocation, seed, version and output checksum; identical
 (command, config, seed) produce byte-identical CSV bodies.
 
-Exit codes: 0 success, 1 usage/config error, 2 statistical-validation
-failure, 3 non-convergence (any RuntimeError).
+Exit codes: 0 success, 1 usage/config error or a run too large for memory,
+2 statistical-validation failure, 3 non-convergence (any RuntimeError).
 """
 
 from __future__ import annotations
@@ -214,7 +214,10 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
             ratios = protocols.sensitivity_ratio_db(m, total_photons, loss_etas)
             rows += [(float(db), float(r), m, total_photons) for db, r in zip(loss_grid, ratios)]
     body = _write_csv(out, header, rows)
-    _write_manifest(out, None, body, notes=protocols.known_discrepancies())
+    notes = protocols.known_discrepancies()
+    if total_photons > protocols.SQUEEZING_CAP_PHOTONS:
+        notes.append(protocols.SQUEEZING_CAP_NOTE)
+    _write_manifest(out, None, body, notes)
 
 
 _MC_SCALARS = {"seed": _seed, "trials": int}
@@ -244,8 +247,8 @@ def cmd_monte_carlo(config_path, seed, trials, out):
             cfg = protocols.SensorNetworkConfig(
                 num_nodes=case["M"],
                 total_photons=case["N_S"],
-                eta=np.asarray(case.get("eta", [1.0])),
-                weights=np.asarray(case["weights"]) if "weights" in case else None,
+                eta=case.get("eta", 1.0),
+                weights=case.get("weights"),
                 scheme=case.get("scheme", "entangled"),
                 alpha_true=case.get("alpha", 0.0),
                 seed=(base_seed, index),
@@ -288,17 +291,11 @@ def cmd_weighted(config_path, out):
     """Heterogeneous-network closed forms, photon allocation and weight optimization."""
     scalars, _ = parse_config(config_path, _WEIGHTED_SCALARS)
     try:
-        etas = np.asarray(scalars["etas"], dtype=float)
-        n_s = scalars["N_S"]
-        m = etas.size
-        weights = (
-            np.asarray(scalars["weights"], dtype=float)
-            if "weights" in scalars
-            else np.full(m, 1.0 / m)
-        )
-        net = allocation.WeightedNetwork(m, weights, etas, n_s)
+        net = allocation.WeightedNetwork(
+            len(scalars["etas"]), scalars.get("weights"), scalars["etas"], scalars["N_S"])
     except (KeyError, ValueError) as exc:
         raise click.UsageError(f"{config_path}: {exc}")
+    etas, n_s = net.etas, net.total_photons
 
     def weight_str(w):
         return ";".join(_fmt(float(v)) for v in w)
@@ -311,8 +308,7 @@ def cmd_weighted(config_path, out):
         rows.append(("product_allocation", alloc.objective, weight_str(net.weights),
                      weight_str(alloc.photons), alloc.kkt_residual, alloc.iterations))
         w_opt = allocation.optimal_weights_entangled(etas, n_s)
-        net_opt = allocation.WeightedNetwork(m, w_opt, etas, n_s)
-        rows.append(("optimized_entangled", allocation.weighted_entangled_rms(net_opt),
+        rows.append(("optimized_entangled", allocation.weighted_rms(w_opt, etas, n_s),
                      weight_str(w_opt), "", "", ""))
         w_prod, alloc_opt = allocation.optimal_weights_product(etas, n_s)
         rows.append(("optimized_product", alloc_opt.objective, weight_str(w_prod),
@@ -447,6 +443,9 @@ def main(argv=None):
         exc.show()
         return EXIT_USAGE
     except click.exceptions.Abort:
+        return EXIT_USAGE
+    except MemoryError:  # numpy's allocation failures subclass it
+        click.echo("error: not enough memory for this run; lower the node count", err=True)
         return EXIT_USAGE
     except StatisticalFailure as exc:
         click.echo(f"statistical validation failed: {exc}", err=True)

@@ -135,12 +135,12 @@ def thermal_populations(nbar, cutoff):
     return ratio ** np.arange(cutoff) / (nbar + 1.0)
 
 
-def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
+def _validate_density(mat):
     # Each tolerance test is written so that nan fails it.
     adjoint = mat.conj().T
     if not (np.abs(mat - adjoint).max() <= HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
-    if not (abs(np.trace(mat).real - 1.0) <= trace_tol):
+    if not (abs(np.trace(mat).real - 1.0) <= TRACE_TOL):
         raise ValueError(
             f"trace deficit {abs(np.trace(mat).real - 1.0):.3e} exceeds "
             "tolerance; increase the Fock cutoff"
@@ -150,7 +150,7 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
     # population pushed against the truncation edge can.  A tail of t
     # perturbs downstream fidelities by O(t), hence the looser threshold.
     tail = float(np.real(mat[-1, -1]))
-    if not (tail <= tail_tol):
+    if not (tail <= TAIL_TOL):
         raise ValueError(
             f"top-level occupancy {tail:.3e} exceeds tolerance; "
             "increase the Fock cutoff"
@@ -160,7 +160,7 @@ def _validate_density(mat, trace_tol, tail_tol=TAIL_TOL):
         raise ValueError(f"density matrix is not PSD (min eig {min_eig:.3e})")
 
 
-def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
+def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF):
     """Number-basis density matrix of a single-mode Gaussian state.
 
     Built as X X^dag with X = D(beta) R(theta) S(r) sqrt(rho_thermal) from
@@ -168,7 +168,7 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     X holds the columns with thermal population p_k >= float64 eps only; the
     dropped columns, sum of norms tau < sqrt(eps)/(1 - sqrt(nbar/(nbar+1))),
     move fock_fidelity by at most 2 tau.  Raises when the truncation leaks
-    more than trace_tol of probability.
+    more than TRACE_TOL of probability.
     """
     if state.num_modes != 1:
         raise ValueError("Fock oracle handles single-mode states only")
@@ -198,7 +198,7 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF, trace_tol=TRACE_TOL):
     x *= rotation_phases(theta, cutoff)[:, None]
     _apply_displacement(beta, x)
     op = FockOperator(x)
-    _validate_density(op.matrix, trace_tol)
+    _validate_density(op.matrix)
     return op
 
 

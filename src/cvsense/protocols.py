@@ -15,6 +15,7 @@ import numpy as np
 
 from . import gaussian
 from .allocation import WeightedNetwork, noise_kernel, weighted_rms
+from .allocation import _check_budget, _check_etas, _check_nodes
 from .gaussian import (
     GaussianState,
     LossChannel,
@@ -67,15 +68,9 @@ CHUNK_NORMALS = 1 << 16
 
 
 def _check_domain(num_nodes, total_photons, eta):
-    # Each test is written so that nan fails it: every comparison with nan is false.
-    if not np.all(np.asarray(num_nodes) >= 1):
-        raise ValueError("number of nodes must be >= 1")
-    photons = np.asarray(total_photons, dtype=float)
-    if not np.all((photons >= 0) & np.isfinite(photons)):
-        raise ValueError("total photon number must be finite and nonnegative")
-    eta = np.asarray(eta, dtype=float)
-    if not np.all((eta > 0.0) & (eta <= 1.0)):
-        raise ValueError("transmissivity must lie in (0, 1]")
+    _check_nodes(num_nodes)
+    _check_budget(total_photons)
+    _check_etas(eta)
 
 
 def entangled_rms_error(num_nodes, total_photons, eta):
@@ -112,8 +107,7 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
     splitter overrides the default balanced splitter; any orthogonal
     completion with the same first row yields identical physics.
     """
-    if num_nodes < 1:
-        raise ValueError("number of nodes must be >= 1")
+    _check_nodes(num_nodes)
     # Squeezed vacuum in mode 0, vacuum elsewhere: one diagonal state, the
     # covariance of tensor(squeezed_vacuum, vacuum_state(M - 1)).
     cov = 0.25 * np.eye(2 * num_nodes)
@@ -126,8 +120,7 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
 
 def build_product_input(num_nodes, total_photons, axis="x"):
     """M-fold product of squeezed vacua with N/M photons each."""
-    if num_nodes < 1:
-        raise ValueError("number of nodes must be >= 1")
+    _check_nodes(num_nodes)
     per_node = squeezed_vacuum(total_photons / num_nodes, axis)
     if num_nodes == 1:
         return per_node
@@ -151,28 +144,17 @@ class SensorNetworkConfig:
     trials: int = 100_000
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError("number of nodes must be >= 1")
         if self.scheme not in ("entangled", "product"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trial count must be positive")
         if not np.isfinite(self.alpha_true):
             raise ValueError("alpha_true must be finite")
-        # WeightedNetwork validates the weights, the etas and the budget.
-        etas = np.atleast_1d(np.asarray(self.eta, dtype=float))
-        if etas.size == 1:
-            etas = np.full(self.num_nodes, etas[0])
-        if self.weights is None:
-            self.weights = np.full(self.num_nodes, 1.0 / self.num_nodes)
-        net = WeightedNetwork(self.num_nodes, self.weights, etas, self.total_photons)
-        self.eta, self.weights = net.etas, net.weights
-        if self.scheme == "product" and not self.uniform:
+        # The network checks the nodes, weights, etas and budget and fills in their defaults.
+        self._network = WeightedNetwork(self.num_nodes, self.weights, self.eta, self.total_photons)
+        self.eta, self.weights = self._network.etas, self._network.weights
+        if self.scheme == "product" and not self._network.uniform:
             raise ValueError("product-scheme simulation supports uniform networks only")
-
-    @property
-    def uniform(self):
-        return np.ptp(self.eta) == 0.0 and np.ptp(self.weights) == 0.0
 
 
 @dataclass
@@ -229,18 +211,18 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
 
 def _splitter_row(cfg):
     """First row of the entangled input's splitter, unnormalized."""
-    if cfg.uniform or cfg.num_nodes == 1:
+    if cfg._network.uniform:
         return np.ones(cfg.num_nodes)  # balanced_splitter's first row
     # Heterogeneous network: spread the squeezed mode with coefficients
     # proportional to w_m sqrt(eta_m) so the estimator recovers it intact.
     return cfg.weights * np.sqrt(cfg.eta)
 
 
-def _build_input_for_config(cfg, axis="x"):
+def _build_input_for_config(cfg):
     if cfg.scheme == "product":
-        return build_product_input(cfg.num_nodes, cfg.total_photons, axis)
+        return build_product_input(cfg.num_nodes, cfg.total_photons)
     splitter = unbalanced_splitter(_splitter_row(cfg))
-    return build_entangled_input(cfg.num_nodes, cfg.total_photons, axis, splitter=splitter)
+    return build_entangled_input(cfg.num_nodes, cfg.total_photons, splitter=splitter)
 
 
 def _x_marginal(cfg):

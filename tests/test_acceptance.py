@@ -173,7 +173,7 @@ def test_criterion_8_allocation_optimizers():
         w = np.array([w1, 1.0 - w1])
         gnet = al.WeightedNetwork(2, w, etas, n_s)
         for n1 in np.linspace(1e-4, n_s - 1e-4, 200):
-            best = min(best, al.product_objective(gnet, np.array([n1, n_s - n1])))
+            best = min(best, al.weighted_rms(gnet.weights, gnet.etas, np.array([n1, n_s - n1])))
     joint_gap = joint.objective - best
     # Uniform instances reduce exactly to the closed forms.
     uni = al.WeightedNetwork(4, np.full(4, 0.25), np.full(4, 0.9), 4.0)

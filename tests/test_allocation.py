@@ -34,6 +34,24 @@ def test_network_validation():
         al.optimal_weights_entangled(np.array([0.9, np.nan]), 4.0)
 
 
+def test_network_defaults_to_uniform_weights_and_one_transmissivity():
+    for m in (1, 3, 7):
+        explicit = al.WeightedNetwork(m, np.full(m, 1.0 / m), np.full(m, 0.9), 4.0)
+        implicit = al.WeightedNetwork(m, None, 0.9, 4.0)
+        assert np.array_equal(implicit.weights, explicit.weights)
+        assert np.array_equal(implicit.etas, explicit.etas)
+        assert implicit.uniform and explicit.uniform
+    assert not al.WeightedNetwork(2, None, [0.9, 0.5], 4.0).uniform
+    assert not al.WeightedNetwork(2, [0.7, 0.3], 0.9, 4.0).uniform
+
+
+@pytest.mark.parametrize("m", [0, -3, np.nan])
+def test_network_rejects_a_bad_node_count(m):
+    # Checked before 1/M is formed: Tier-1 turns its RuntimeWarning into an error.
+    with pytest.raises(ValueError, match="number of nodes must be >= 1"):
+        al.WeightedNetwork(m, None, 0.9, 4.0)
+
+
 @pytest.mark.parametrize("n_s", [np.nan, -1.0, np.inf])
 def test_optimal_weights_entangled_rejects_bad_budget(n_s):
     with pytest.raises(ValueError, match="photon budget"):
@@ -94,7 +112,7 @@ def test_allocation_beats_uniform_split():
         3, np.array([0.5, 0.3, 0.2]), np.array([0.95, 0.6, 0.2]), 6.0
     )
     result = al.allocate_photons_product(net)
-    assert result.objective < al.product_objective(net, np.full(3, 2.0))
+    assert result.objective < al.weighted_rms(net.weights, net.etas, np.full(3, 2.0))
     assert result.kkt_residual < 1e-8
     # Heavier, cleaner node draws more photons.
     assert result.photons[0] > result.photons[1] > result.photons[2] > 0
@@ -111,7 +129,7 @@ def test_objective_convexity_chord():
         alt = np.array([other * 3.0, (1 - other) * 3.0])
         for t in (0.25, 0.5, 0.75):
             mix = (1 - t) * result.photons + t * alt
-            assert al.product_objective(net, mix) >= result.objective - 1e-12
+            assert al.weighted_rms(net.weights, net.etas, mix) >= result.objective - 1e-12
 
 
 def test_optimal_weights_entangled_spot_value():
@@ -164,7 +182,7 @@ def test_optimal_weights_product_descends_and_certifies():
         w = np.array([w1, 1.0 - w1])
         for n1 in np.linspace(1e-4, 4.0 - 1e-4, 201):
             net = al.WeightedNetwork(2, w, etas, 4.0)
-            best = min(best, al.product_objective(net, np.array([n1, 4.0 - n1])))
+            best = min(best, al.weighted_rms(net.weights, net.etas, np.array([n1, 4.0 - n1])))
     assert result.objective <= best + 1e-6
 
 
@@ -213,7 +231,7 @@ def _check_allocation(net):
     result = al.allocate_photons_product(net)
     assert result.kkt_residual <= al.KKT_TOL
     assert abs(result.photons.sum() - net.total_photons) <= 1e-9
-    equal = al.product_objective(net, np.full(net.num_nodes, net.total_photons / net.num_nodes))
+    equal = al.weighted_rms(net.weights, net.etas, net.total_photons / net.num_nodes)
     assert result.objective <= equal * (1.0 + 1e-12)
 
 

@@ -65,7 +65,15 @@ def test_ratio_curve_vs_m(tmp_path):
     spot = [r for r in rows if r["M"] == "20" and r["eta"] == "0.9"]
     assert spot and float(spot[0]["ratio_db"]) == pytest.approx(4.486, abs=1e-3)
     # The nonreproducibility disclosure rides along in the manifest notes.
-    assert any("8 dB" in note for note in manifest(out)["notes"])
+    assert manifest(out)["notes"] == [protocols.EIGHT_DB_NOTE]
+
+
+@pytest.mark.parametrize("mode", ["vs-M", "vs-loss"])
+def test_ratio_curve_manifest_notes_squeezing_cap(tmp_path, mode):
+    out = tmp_path / "ratio.csv"
+    assert run(["ratio-curve", "--mode", mode, "--total-photons", 1e5, "--m-max", 10,
+                "--m", 10, "--out", out]) == 0
+    assert manifest(out)["notes"] == [protocols.EIGHT_DB_NOTE, protocols.SQUEEZING_CAP_NOTE]
 
 
 def test_ratio_curve_vs_loss(tmp_path):
@@ -167,6 +175,54 @@ def test_weighted_command(tmp_path, configs_dir):
     assert objective["optimized_product"] <= objective["product_allocation"]
     alloc = next(r for r in rows if r["kind"] == "product_allocation")
     assert float(alloc["kkt_residual"]) < 1e-8
+
+
+def test_weighted_default_weights_are_uniform(tmp_path):
+    bodies = []
+    for weights in ("", "weights = 0.25, 0.25, 0.25, 0.25\n"):
+        config = tmp_path / "w.cfg"
+        config.write_text("N_S = 4\netas = 0.9, 0.5, 0.7, 1.0\n" + weights)
+        assert run(["weighted", "--config", config, "--out", tmp_path / "w.csv"]) == 0
+        bodies.append(csv_body(tmp_path / "w.csv"))
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("config", [
+    "N_S = 10\netas = 1 1e-300\n", "N_S = 1e300\netas = 0.9 0.3\n",
+    "N_S = 1e300\netas = 1 1\n", "N_S = 1e154\netas = 0.9 1\n", "N_S = 5e-324\netas = 0.9 1\n",
+], ids=["eta=1e-300", "N_S=1e300", "N_S=1e300-lossless", "N_S=1e154", "N_S=5e-324"])
+def test_weighted_writes_no_nan(tmp_path, capsys, config):
+    # These used to exit 0 with nan or inf in a row (N_S = 5e-324: exit 1 on a numpy
+    # error). Tier-1 turns RuntimeWarnings into errors, so the guard must act before numpy warns.
+    (tmp_path / "w.cfg").write_text(config)
+    out = tmp_path / "w.csv"
+    code = run(["weighted", "--config", tmp_path / "w.cfg", "--out", out])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert "nan" not in csv_body(out) and "inf" not in csv_body(out)
+    else:
+        assert code == 3 and "float64 range" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, target", [
+    ("monte-carlo", "[case]\nM = 1000000000\nN_S = 1\ntrials = 10\n",
+     "SensorNetworkConfig"),
+    ("phase", "M = 1000000000\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\n",
+     "simulate_phase_protocol"),
+], ids=["monte-carlo", "phase"])
+def test_memory_error_exits_1(tmp_path, monkeypatch, capsys, command, config, target):
+    # The first call that would allocate M = 10^9 values raises in its place.
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(cli.protocols, target, exhausted)
+    (tmp_path / "big.cfg").write_text(config)
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", tmp_path / "big.cfg", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "not enough memory" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_weighted_nonconvergence(tmp_path, configs_dir, monkeypatch):
@@ -335,6 +391,7 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
     ["ratio-curve", "--mode", "vs-M", "--total-photons", "nan"],
     ["ratio-curve", "--mode", "vs-loss", "--loss-db-max", "nan"],
     ["weighted", "--config", "nan_budget.cfg"],
+    ["weighted", "--config", "no_etas.cfg"],
     ["monte-carlo", "--config", "nan_alpha_mc.cfg"],
     ["monte-carlo", "--config", "inf_alpha_mc.cfg"],
     ["phase", "--config", "nan_dphi_phase.cfg"],
@@ -360,6 +417,7 @@ NEGATIVE_SEED_PHASE = SMALL_PHASE + "seed = -1\n"
 HOSTILE_CONFIGS = {
     "zero_budget.cfg": "N_S = 0\netas = 0.9, 0.3\n",
     "nan_budget.cfg": "N_S = nan\netas = 0.9, 0.3\n",
+    "no_etas.cfg": "N_S = 4\netas =\n",
     "negative_seed_mc.cfg": NEGATIVE_SEED_MC,
     "negative_seed_phase.cfg": NEGATIVE_SEED_PHASE,
     "nan_alpha_mc.cfg": SMALL_MC + "alpha = nan\n",

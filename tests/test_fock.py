@@ -115,9 +115,9 @@ def test_validate_density_rejects_non_psd():
         mat = np.zeros((6, 6), dtype=complex)
         mat[:2, :2] = [[0.5, 0.5 + eps], [0.5 + eps, 0.5]]
         with pytest.raises(ValueError, match="not PSD \\(min eig"):
-            fock._validate_density(mat, fock.TRACE_TOL)
+            fock._validate_density(mat)
     mat[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
-    fock._validate_density(mat, fock.TRACE_TOL)
+    fock._validate_density(mat)
 
 
 def test_validate_density_rejects_non_hermitian_and_nan():
@@ -126,7 +126,7 @@ def test_validate_density_rejects_non_hermitian_and_nan():
     nan = np.full((6, 6), np.nan, dtype=complex)
     for mat in (skew, nan):
         with pytest.raises(ValueError, match="not Hermitian"):
-            fock._validate_density(mat, fock.TRACE_TOL)
+            fock._validate_density(mat)
 
 
 def _dense_unitary(state, cutoff):
