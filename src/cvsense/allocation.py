@@ -85,9 +85,10 @@ class AllocationResult:
 
 
 def _inv_scale(n):
-    """1/(sqrt(N+1)+sqrt(N))^2, the squeezed-noise factor; no cancellation at large N."""
+    """1/(sqrt(N+1)+sqrt(N))^2, the squeezed-noise factor; no cancellation at large N,
+    and the reciprocal is squared, so it underflows gracefully rather than overflow."""
     n = np.asarray(n, dtype=float)
-    return 1.0 / (np.sqrt(n + 1.0) + np.sqrt(n)) ** 2
+    return (1.0 / (np.sqrt(n + 1.0) + np.sqrt(n))) ** 2
 
 
 def _inv_scale_deriv(n):
@@ -127,7 +128,9 @@ def _photons_at_level(gain, level):
 
 def _level_search(marginal, node_photons, budget, size):
     """Bisect on the level at which node_photons (each node's inverse of its decreasing
-    marginal(n), capped at the budget) spends the budget; return the shares and the count."""
+    marginal(n), capped at the budget) spends the budget; return the shares and the count.
+
+    Raises RuntimeError when MAX_BISECTIONS do not narrow the level to its tolerance."""
     # Each node takes the whole budget at lo and at most an equal share at hi.
     lo, hi = marginal(budget).min(), marginal(budget / size).max()
     for it in range(MAX_BISECTIONS):
@@ -138,7 +141,17 @@ def _level_search(marginal, node_photons, budget, size):
         # Relative width: the level falls like 1/N_S^2, far below 1.
         if hi - lo <= 1e-14 * hi:
             break
+    else:
+        raise RuntimeError(f"the level search did not converge in {MAX_BISECTIONS} bisections")
     return node_photons(0.5 * (lo + hi)), it + 1
+
+
+def _kkt_residual(marginals):
+    """Relative spread of the nodes' marginal gains; RuntimeError above KKT_TOL."""
+    residual = float((marginals.max() - marginals.min()) / marginals.max())
+    if not residual <= KKT_TOL:  # nan fails this too
+        raise RuntimeError(f"KKT residual {residual:.3g} exceeds the tolerance {KKT_TOL:g}")
+    return residual
 
 
 def _in_float64_range(optimizer):
@@ -171,8 +184,7 @@ def allocate_photons_product(net):
         lambda level: np.minimum(_photons_at_level(gain, level), budget), budget, gain.size)
     shares *= budget / shares.sum()  # repair the slack: the budget holds exactly
     positive = shares > 0  # a share that underflowed to zero has an infinite marginal
-    marginals = -gain[positive] * _inv_scale_deriv(shares[positive])
-    residual = float((marginals.max() - marginals.min()) / marginals.max())
+    residual = _kkt_residual(-gain[positive] * _inv_scale_deriv(shares[positive]))
     photons = np.zeros(net.num_nodes)
     photons[active] = shares
     return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), residual,
@@ -244,7 +256,7 @@ def optimal_weights_product(etas, total_photons):
     # rescale would pass a flat (eta ~ 1) node's level error on to the steep ones.
     sensitivity = photons / _fisher_marginal(etas, photons)[1]
     photons += sensitivity * (total_photons - photons.sum()) / sensitivity.sum()
-    fisher, marginals = 4.0 / noise_kernel(etas, photons), _fisher_marginal(etas, photons)[0]
-    residual = float((marginals.max() - marginals.min()) / marginals.max())
+    fisher = 4.0 / noise_kernel(etas, photons)
+    residual = _kkt_residual(_fisher_marginal(etas, photons)[0])
     return fisher / fisher.sum(), AllocationResult(
         photons, float(1.0 / np.sqrt(fisher.sum())), residual, iterations)

@@ -57,6 +57,13 @@ def _fmt(value):
     return str(value)
 
 
+def _fmt_etas(etas):
+    """One value when every node has the same transmissivity, else one per node."""
+    if np.all(etas == etas[0]):
+        return _fmt(etas[0])
+    return ";".join(_fmt(e) for e in etas)
+
+
 def _write_csv(path, header, rows):
     body = ",".join(header) + "\n"
     body += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
@@ -264,7 +271,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
         all_pass &= status == "PASS"
         rows.append((
             index, report.scheme, cfg.num_nodes, cfg.total_photons,
-            ";".join(_fmt(e) for e in cfg.eta), cfg.alpha_true, report.trials,
+            _fmt_etas(cfg.eta), cfg.alpha_true, report.trials,
             report.empirical_mean, report.empirical_rms_error,
             report.rms_standard_error, report.analytic_rms,
             report.estimator_offset, sigmas, status,

@@ -8,6 +8,9 @@ form, scaling diagnostics, and the Mach-Zehnder phase-sensing network.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -62,9 +65,9 @@ SAMPLER_MAX_PHOTONS = 1e20
 # reference, whose round-off grows with M (10^6 at M = 200).
 PHASE_MAX_PHOTONS = 1e5
 
-# Normals per Monte Carlo chunk: the campaign's two sample buffers stay
-# near 512 KB each, whatever the node count.
-CHUNK_NORMALS = 1 << 16
+# Normals per Monte Carlo chunk: each campaign thread's two sample buffers
+# stay near 256 KB each, whatever the node count.
+CHUNK_NORMALS = 1 << 15
 
 
 def _check_domain(num_nodes, total_photons, eta):
@@ -174,30 +177,65 @@ class EstimatorReport:
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
 
 
+def _thread_count(chunks):
+    """Threads for a campaign of `chunks` chunks: min(chunks, usable CPUs, CVSENSE_THREADS)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    cap = os.environ.get("CVSENSE_THREADS")
+    if cap:  # unset or empty: no cap, as for the BLAS pools
+        if not (cap.strip().isdecimal() and int(cap) >= 1):
+            raise ValueError(f"CVSENSE_THREADS must be a positive integer, not {cap!r}")
+        cpus = min(cpus, int(cap))
+    return min(chunks, cpus)
+
+
 def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms, scheme):
     """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
 
     The measured quadratures have mean `mean` and covariance a I + (top - a) unit unit^T;
-    each trial's estimate is weights @ outcomes. The buffers are built once,
-    and every chunk of CHUNK_NORMALS normals is drawn and reduced in place.
+    each trial's estimate is weights @ outcomes. Trials run in chunks of CHUNK_NORMALS
+    normals, and chunk j draws from SeedSequence(seed, spawn_key=(j,)), i.e.
+    SeedSequence(seed).spawn(j + 1)[j]. The calling thread and _thread_count - 1 helpers
+    claim chunks in turn, each into buffers of its own; the per-chunk sums are reduced
+    in chunk order, so the report does not depend on the thread count.
     """
     if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
         raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = min(trials, max(1, CHUNK_NORMALS // mean.size))
-    normals = np.empty((rows, mean.size))
-    samples = np.empty_like(normals)
-    est = np.empty(rows)
-    sum_est = 0.0
-    sum_sq = 0.0
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
-        block = gaussian.homodyne_samples(mean, a, top, unit, rng, normals[:n], samples[:n])
-        chunk = np.matmul(block, weights, out=est[:n])
-        sum_est += chunk.sum()
-        chunk -= target
-        sum_sq += chunk @ chunk
+    chunks = -(-trials // rows)
+    sums = np.empty((chunks, 2))  # per chunk: sum of estimates, sum of squares about target
+    claims = itertools.count()  # next() is atomic, so every chunk is claimed once
+    failures = []
 
+    def work():
+        try:
+            normals = np.empty((rows, mean.size))
+            samples = np.empty_like(normals)
+            est = np.empty(rows)
+            for j in claims:
+                if j >= chunks or failures:  # done, or another chunk raised
+                    return
+                n = min(rows, trials - j * rows)
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+                block = gaussian.homodyne_samples(mean, a, top, unit, rng, normals[:n], samples[:n])
+                chunk = np.matmul(block, weights, out=est[:n])
+                sums[j, 0] = chunk.sum()
+                chunk -= target
+                # numpy's own pairwise sum, not a BLAS dot, whose result follows its thread count.
+                sums[j, 1] = np.square(chunk, out=chunk).sum()
+        except BaseException as exc:  # re-raised by the caller once every helper has joined
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(_thread_count(chunks) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+
+    sum_est, sum_sq = sums.sum(axis=0)
     rms = float(np.sqrt(sum_sq / trials))
     return EstimatorReport(
         trials=trials,

@@ -260,6 +260,14 @@ def test_inv_scale_is_stable_for_large_budgets():
     assert np.allclose(al._inv_scale_deriv(n) * (4.0 * n + 2.0) * n, -1.0, rtol=1e-8, atol=0.0)
 
 
+def test_inv_scale_does_not_overflow_at_the_float64_limit():
+    # (sqrt(N+1)+sqrt(N))^2 overflows above ~4.5e307; its reciprocal, squared, does not.
+    n = np.array([1e300, 1e307, 1e308, np.finfo(float).max])
+    with np.errstate(over="raise"):
+        kappa = al._inv_scale(n)
+    assert np.allclose(4.0 * (kappa * n), 1.0, rtol=1e-12, atol=0.0)
+
+
 def test_noise_kernel_is_exact_without_loss():
     # At eta = 1 the kernel is kappa itself; eta kappa + 1 - eta formed (kappa + 1) - 1,
     # off by 9.5e-11 relative at n = 1e6.

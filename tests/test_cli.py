@@ -225,6 +225,19 @@ def test_memory_error_exits_1(tmp_path, monkeypatch, capsys, command, config, ta
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [("MAX_BISECTIONS", 3), ("KKT_TOL", 1e-20)],
+                         ids=["bisections", "kkt"])
+def test_weighted_exits_3_on_an_unfinished_allocation(tmp_path, monkeypatch, capsys, setting):
+    # Three bisections cannot narrow the level to 1e-14, and the config's KKT
+    # residual, 2.4e-16, is above 1e-20: neither allocation is returned.
+    monkeypatch.setattr(cli.allocation, *setting)
+    out = tmp_path / "w.csv"
+    assert run(["weighted", "--config", CONFIGS / "weighted_m2.cfg", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_weighted_nonconvergence(tmp_path, configs_dir, monkeypatch):
     def stuck(etas, total_photons):
         raise RuntimeError("weight/allocation alternation did not converge")
@@ -313,6 +326,37 @@ def test_monte_carlo_rejects_heterogeneous_product(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "uniform networks only" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+def test_monte_carlo_exits_1_on_a_bad_thread_override(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("CVSENSE_THREADS", threads)
+    out = tmp_path / "mc.csv"
+    assert run(["monte-carlo", "--config", CONFIGS / "fig1_check.cfg", "--trials", 10,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"CVSENSE_THREADS must be a positive integer, not '{threads}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_monte_carlo_prints_one_eta_on_a_uniform_network(tmp_path):
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text("seed = 1\ntrials = 100\n[case]\nM = 3\nN_S = 2\neta = 0.9\n"
+                   "[case]\nM = 3\nN_S = 2\neta = 0.9, 0.5, 0.9\n")
+    out = tmp_path / "mc.csv"
+    assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
+    assert [row["eta"] for row in csv_rows(out)[1]] == ["0.9", "0.9;0.5;0.9"]
+
+
+def test_rms_curve_resolves_the_largest_budgets(tmp_path):
+    # kappa(1e308) = 2.5e-309 no longer overflows to 0 on the way.
+    out = tmp_path / "curve.csv"
+    assert run(["rms-curve", "--total-photons", 1e308, "--m-min", 10, "--m-max", 20,
+                "--out", out]) == 0
+    row = csv_rows(out)[1][0]
+    assert (row["M"], row["scheme"]) == ("10", "entangled")
+    assert float(row["delta_alpha"]) == pytest.approx(0.5e-154 / np.sqrt(40.0), rel=1e-11)
 
 
 def test_monte_carlo_exits_1_above_the_sampler_bound(tmp_path, capsys):

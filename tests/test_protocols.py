@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -211,20 +212,93 @@ def test_monte_carlo_rejects_photons_above_the_sampler_bound(monkeypatch):
             pr.simulate_displacement_protocol(cfg)
 
 
-def test_campaign_does_not_depend_on_the_chunk_size(monkeypatch):
-    # PCG64 fills normals in stream order, so only the summation order changes.
-    def run():
-        cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, alpha_true=0.05, seed=77, trials=10_001)
-        phase = pr.simulate_phase_protocol(2, 2.0, 100.0, 0.9, 0.01, 10_001, seed=31)
-        return [pr.simulate_displacement_protocol(cfg), phase]
+def _campaigns(trials):
+    cfgs = [
+        pr.SensorNetworkConfig(3, 2.0, 0.8, alpha_true=0.05, seed=77, trials=trials),
+        pr.SensorNetworkConfig(3, 2.0, np.array([0.9, 0.5, 0.7]), np.array([0.5, 0.2, 0.3]),
+                               alpha_true=-0.1, seed=(5, 1), trials=trials),
+        pr.SensorNetworkConfig(3, 2.0, 0.8, scheme="product", alpha_true=0.05, seed=8,
+                               trials=trials),
+    ]
+    reports = [pr.simulate_displacement_protocol(cfg) for cfg in cfgs]
+    return reports + [pr.simulate_phase_protocol(2, 2.0, 100.0, 0.9, 0.01, trials, seed=31)]
 
-    default = run()
-    monkeypatch.setattr(pr, "CHUNK_NORMALS", 7)
-    for chunked, whole in zip(run(), default):
-        assert chunked.empirical_mean == pytest.approx(whole.empirical_mean, rel=1e-12, abs=0.0)
-        assert chunked.empirical_rms_error == pytest.approx(
-            whole.empirical_rms_error, rel=1e-12, abs=0.0
-        )
+
+def test_campaign_does_not_depend_on_the_thread_count(monkeypatch):
+    # Chunk j draws from its own stream and the chunk sums are reduced in chunk
+    # order, so the reports are bit-identical whichever thread ran which chunk.
+    monkeypatch.setattr(pr, "CHUNK_NORMALS", 3 * 101)  # 101 rows at M = 3, 151 at M = 2
+    trials = 10_001  # not a multiple of either
+    reports = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(pr, "_thread_count", lambda chunks: min(chunks, threads))
+        reports.append(_campaigns(trials))
+    assert reports[0] == reports[1] == reports[2]
+    *displacement, phase = reports[0]
+    for report in displacement:
+        assert report.agreement_sigmas() < 4.0
+    # The phase report's analytic rms is the linearized one; the exact one is the reference.
+    exact = pr.phase_exact_stats(2, 2.0, 100.0, 0.9, 0.01)[2]
+    assert abs(phase.empirical_rms_error - exact) < 4.0 * phase.rms_standard_error
+
+
+def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
+    # One chunk of one row at M = 1 is one normal, seen by a spy on the sampler.
+    monkeypatch.setattr(pr, "CHUNK_NORMALS", 1)
+    seen = {}
+    real = g.homodyne_samples
+
+    def spy(mean, a, top, unit, rng, normals, out):
+        seen[rng.bit_generator.seed_seq.spawn_key] = rng.bit_generator.state
+        return real(mean, a, top, unit, rng, normals, out)
+
+    monkeypatch.setattr(g, "homodyne_samples", spy)
+    pr.simulate_displacement_protocol(pr.SensorNetworkConfig(1, 2.0, seed=(9, 4), trials=5))
+    children = np.random.SeedSequence((9, 4)).spawn(5)
+    assert seen == {(j,): np.random.PCG64(children[j]).state for j in range(5)}
+
+
+def test_a_chunk_failing_in_a_helper_thread_stops_the_campaign(monkeypatch):
+    monkeypatch.setattr(pr, "CHUNK_NORMALS", 3 * 100)
+    monkeypatch.setattr(pr, "_thread_count", lambda chunks: min(chunks, 3))
+    real = g.homodyne_samples
+    raised = threading.Event()
+
+    def failing(mean, a, top, unit, rng, normals, out):
+        chunk = rng.bit_generator.seed_seq.spawn_key[0]
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=30)  # the caller's chunks wait for a helper's failure
+        elif chunk >= 1:
+            raised.set()
+            raise ValueError(f"chunk {chunk} failed")
+        return real(mean, a, top, unit, rng, normals, out)
+
+    monkeypatch.setattr(g, "homodyne_samples", failing)
+    before = threading.active_count()
+    cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, seed=77, trials=10_000)  # 100 chunks
+    with pytest.raises(ValueError, match="chunk [1-9][0-9]* failed"):
+        pr.simulate_displacement_protocol(cfg)
+    assert threading.active_count() == before
+
+
+def test_thread_count_is_capped_by_chunks_cpus_and_the_override(monkeypatch):
+    monkeypatch.delenv("CVSENSE_THREADS", raising=False)
+    monkeypatch.setattr(pr.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert [pr._thread_count(c) for c in (1, 5, 64, 10**6)] == [1, 5, 64, 64]
+    for cap, expected in (("3", 3), ("100", 64), ("", 64), (" 2 ", 2)):
+        monkeypatch.setenv("CVSENSE_THREADS", cap)
+        assert pr._thread_count(10**6) == expected
+    for bad in ("0", "-1", "abc", "1.5"):
+        monkeypatch.setenv("CVSENSE_THREADS", bad)
+        with pytest.raises(ValueError, match="CVSENSE_THREADS must be a positive integer"):
+            pr._thread_count(10)
+    # Without sched_getaffinity the CPU count stands in; an unknown count means one CPU.
+    monkeypatch.delenv("CVSENSE_THREADS")
+    monkeypatch.delattr(pr.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pr.os, "cpu_count", lambda: 6)
+    assert pr._thread_count(10**6) == 6
+    monkeypatch.setattr(pr.os, "cpu_count", lambda: None)
+    assert pr._thread_count(10**6) == 1
 
 
 def test_campaign_working_memory_is_one_chunk():
