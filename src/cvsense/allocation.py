@@ -173,9 +173,11 @@ def _in_float64_range(optimizer):
 @_in_float64_range
 def allocate_photons_product(net):
     """Optimal photon split for the product scheme at fixed weights: every node with
-    w_m^2 eta_m > 0 gets photons (its marginal diverges at zero), in closed form per level."""
-    if net.total_photons <= 0:
-        raise ValueError("photon budget must be positive")
+    w_m^2 eta_m > 0 gets photons (its marginal diverges at zero), in closed form per level.
+    A zero budget leaves every node in vacuum."""
+    if net.total_photons == 0:
+        photons = np.zeros(net.num_nodes)
+        return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), 0.0, 0)
     gain = net.weights**2 * net.etas  # coefficient of the N-dependent term
     active = gain > 0.0  # never empty: the weights sum to 1
     gain, budget = gain[active], net.total_photons
@@ -222,11 +224,15 @@ def optimal_weights_product(etas, total_photons):
     optimum maximizes the separable sum_m F_m(n_m) at sum_m n_m = N_S. Each F_m is
     strictly concave (d log F'/d log n < 0, see _fisher_marginal) with F'(0+) infinite,
     so it is one water-filling, F_m'(n_m) = level on every node, then w = F/sum F.
+    A zero budget leaves every node in vacuum, F_m = 4: uniform weights.
     """
     etas = np.asarray(etas, dtype=float)
     _check_etas(etas)
-    if not 0 < total_photons < np.inf:  # nan fails this too
-        raise ValueError("photon budget must be positive and finite")
+    _check_budget(total_photons)
+    if total_photons == 0:
+        photons = np.zeros(etas.size)
+        return np.full(etas.size, 1.0 / etas.size), AllocationResult(
+            photons, float(1.0 / np.sqrt(4.0 * etas.size)), 0.0, 0)
     at_budget = _fisher_marginal(etas, total_photons)[0]
     x = slope = previous = None  # a Newton step from the previous level's roots seeds the next
 

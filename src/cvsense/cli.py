@@ -7,21 +7,24 @@ exact invocation, seed, version and output checksum; identical
 
 Exit codes: 0 success, 1 usage/config error or a run too large for memory,
 2 statistical-validation failure, 3 non-convergence (any RuntimeError).
+
+Each command imports the cvsense modules it calls when it runs, so a
+process pays only for its own command.
 """
 
-from __future__ import annotations
-
+import argparse
+import gc
 import hashlib
 import json
+import math
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
 
-import click
 import numpy as np
 
-from . import __version__, allocation, fisher, protocols
-from .protocols import SEED_MAX
+from . import __version__
 
 EXIT_USAGE = 1
 EXIT_STATISTICAL = 2
@@ -31,20 +34,8 @@ POINTS_PER_DECADE = 20
 MANIFEST_SCHEMA = 2
 
 
-class FiniteFloatRange(click.FloatRange):
-    """A float range that also rejects nan and infinities, which FloatRange lets through."""
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        if not np.isfinite(rv):
-            self.fail(f"{rv} is not a finite number.", param, ctx)
-        return rv
-
-
-PHOTONS = FiniteFloatRange(min=0.0)
-ETA = FiniteFloatRange(0.0, 1.0, min_open=True)
-NODES = click.IntRange(min=1)
-SEED = click.IntRange(0, SEED_MAX)
+class UsageError(Exception):
+    """A bad invocation or config: exit 1 with the message."""
 
 
 class StatisticalFailure(Exception):
@@ -72,19 +63,18 @@ def _write_csv(path, header, rows):
     return body
 
 
-def _write_manifest(out_path, seed, body, notes=()):
+def _write_manifest(out_path, command, argv, params, result, body):
     """Sidecar recording the invocation: main's argv and the command's parsed parameters."""
-    ctx = click.get_current_context()
     manifest = {
         "manifest_schema": MANIFEST_SCHEMA,
-        "command": ctx.info_name,
-        "argv": ctx.obj,
-        "params": ctx.params,
-        "seed": seed,
+        "command": command,
+        "argv": argv,
+        "params": params,
+        "seed": result.seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "csv_sha256": hashlib.sha256(body.encode()).hexdigest(),
-        "notes": list(notes),
+        "notes": list(result.notes),
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -92,13 +82,52 @@ def _write_manifest(out_path, seed, body, notes=()):
 
 def _log_spaced(m_min, m_max):
     if m_max < m_min:
-        raise click.UsageError("need 1 <= m-min <= m-max")
+        raise UsageError("need 1 <= m-min <= m-max")
     decades = np.log10(m_max / m_min)
     count = max(2, int(round(decades * POINTS_PER_DECADE)) + 1)
-    values = np.unique(
-        np.round(np.logspace(np.log10(m_min), np.log10(m_max), count)).astype(int)
-    )
+    grid = np.round(np.logspace(np.log10(m_min), np.log10(m_max), count)).astype(int)
+    # The grid is sorted, so its distinct values are where it steps; np.unique would load numpy.ma.
+    values = grid[np.r_[True, grid[1:] != grid[:-1]]]
     return values[values >= 1]
+
+
+# -- value types: ValueError on a malformed value, ArgumentTypeError on one out of range;
+# argparse and parse_config report either.
+
+
+def _number(kind, low, high=None, low_open=False):
+    """A finite `kind` in [low, high], or (low, high] when low_open; high None is no bound."""
+    span = (f"in {'(' if low_open else '['}{low}, {high}]" if high is not None
+            else f"{'>' if low_open else '>='} {low}")
+
+    def convert(text):
+        value = kind(text)
+        above = value > low if low_open else value >= low  # nan fails both
+        if not ((kind is int or math.isfinite(value)) and above
+                and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__} {span}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid float value: 'x'"
+    return convert
+
+
+PHOTONS = _number(float, 0.0)
+ETA = _number(float, 0.0, 1.0, low_open=True)
+NODES = _number(int, 1)
+
+
+def _seed(value):
+    from .protocols import SEED_MAX
+
+    seed = int(value)
+    if not 0 <= seed <= SEED_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [0, {SEED_MAX}]")
+    return seed
+
+
+def _float_list(value):
+    return [float(v) for v in value.replace(",", " ").split()]
 
 
 # -- config parsing -------------------------------------------------------
@@ -115,67 +144,75 @@ def parse_config(path, scalar_keys, case_keys=None):
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise click.UsageError(f"cannot read config {path}: {exc}")
+        raise UsageError(f"cannot read config {path}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[case]":
             if case_keys is None:
-                raise click.UsageError(f"{path}:{lineno}: [case] sections not allowed here")
+                raise UsageError(f"{path}:{lineno}: [case] sections not allowed here")
             current = {}
             cases.append(current)
             continue
         if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         table = scalar_keys if current is None else case_keys
         target = scalars if current is None else current
         if key not in table:
-            raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in target:
-            raise click.UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             target[key] = table[key](value)
-        except ValueError as exc:
-            raise click.UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
     return scalars, cases
 
 
-def _float_list(value):
-    return [float(v) for v in value.replace(",", " ").split()]
+# -- the command table ----------------------------------------------------
+
+# flag, the parameter's name, value type, default, help; multiple options repeat.
+Option = namedtuple("Option", "flag name convert default help choices multiple required",
+                    defaults=(None, None, False, False))
+Command = namedtuple("Command", "run summary options")
+# What a command computed: the CSV, the manifest's seed and notes, and a failure to raise
+# once both files are written.
+Result = namedtuple("Result", "header rows seed notes failure", defaults=((), None))
+
+OUT = Option("--out", "out", str, None, "CSV path; the manifest goes to <out>.manifest.json",
+             required=True)
+CONFIG = Option("--config", "config_path", str, None, "config file", required=True)
+COMMANDS = {}
 
 
-def _seed(value):
-    seed = int(value)
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"must lie in [0, {SEED_MAX}]")
-    return seed
+def command(name, *options):
+    """Register a command: it takes its options' values by name, except --out."""
+    def register(run):
+        COMMANDS[name] = Command(run, run.__doc__, options + (OUT,))
+        return run
+    return register
 
 
-# -- commands -------------------------------------------------------------
-
-
-@click.group()
-@click.version_option(__version__)
-def cli():
-    """Distributed quadrature-sensing curves, campaigns and reports."""
-
-
-@cli.command("rms-curve")
-@click.option("--scheme", type=click.Choice(["entangled", "product", "both"]), default="both")
-@click.option("--eta", "etas", type=ETA, multiple=True, default=(1.0,))
-@click.option("--photons-per-node", type=PHOTONS, default=None,
-              help="Fix N_S/M across the sweep (scaling mode).")
-@click.option("--total-photons", type=PHOTONS, default=None,
-              help="Fix N_S across the sweep.")
-@click.option("--m-min", type=NODES, default=10)
-@click.option("--m-max", type=NODES, default=10_000)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, out):
+@command(
+    "rms-curve",
+    Option("--scheme", "scheme", str, "both", "(default both)",
+           choices=("entangled", "product", "both")),
+    Option("--eta", "etas", ETA, (1.0,), "transmissivity in (0, 1]; repeatable",
+           multiple=True),
+    Option("--photons-per-node", "photons_per_node", PHOTONS, None,
+           "Fix N_S/M across the sweep (scaling mode)."),
+    Option("--total-photons", "total_photons", PHOTONS, None, "Fix N_S across the sweep."),
+    Option("--m-min", "m_min", NODES, 10, "smallest node count (default 10)"),
+    Option("--m-max", "m_max", NODES, 10_000, "largest node count (default 10000)"),
+)
+def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max):
     """rms error versus node count for both schemes."""
+    from . import protocols
+
     if (photons_per_node is None) == (total_photons is None):
-        raise click.UsageError("specify exactly one of --photons-per-node / --total-photons")
+        raise UsageError("specify exactly one of --photons-per-node / --total-photons")
     schemes = ["entangled", "product"] if scheme == "both" else [scheme]
     formulas = {"entangled": protocols.entangled_rms_error,
                 "product": protocols.product_rms_error}
@@ -189,23 +226,26 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max, o
         for i, m in enumerate(ms):
             for sch, curve in zip(schemes, curves):
                 rows.append((m, float(curve[i]), sch, eta, per_node[i]))
-    body = _write_csv(out, ["M", "delta_alpha", "scheme", "eta", "n_S"], rows)
-    _write_manifest(out, None, body, notes)
+    return Result(["M", "delta_alpha", "scheme", "eta", "n_S"], rows, None, notes)
 
 
-@cli.command("ratio-curve")
-@click.option("--mode", type=click.Choice(["vs-M", "vs-loss"]), required=True)
-@click.option("--total-photons", type=PHOTONS, default=10.0)
-@click.option("--eta", "etas", type=ETA, multiple=True,
-              default=(0.5, 0.8, 0.9, 0.95, 0.99, 1.0))
-@click.option("--m", "node_counts", type=NODES, multiple=True,
-              default=(5, 10, 20, 50, 100, 1000))
-@click.option("--m-min", type=NODES, default=1)
-@click.option("--m-max", type=NODES, default=1000)
-@click.option("--loss-db-max", type=FiniteFloatRange(min=0.0), default=10.0)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_db_max, out):
+@command(
+    "ratio-curve",
+    Option("--mode", "mode", str, None, choices=("vs-M", "vs-loss"), required=True),
+    Option("--total-photons", "total_photons", PHOTONS, 10.0, "N_S (default 10)"),
+    Option("--eta", "etas", ETA, (0.5, 0.8, 0.9, 0.95, 0.99, 1.0),
+           "vs-M transmissivity in (0, 1]; repeatable", multiple=True),
+    Option("--m", "node_counts", NODES, (5, 10, 20, 50, 100, 1000),
+           "vs-loss node count; repeatable", multiple=True),
+    Option("--m-min", "m_min", NODES, 1, "vs-M smallest node count (default 1)"),
+    Option("--m-max", "m_max", NODES, 1000, "vs-M largest node count (default 1000)"),
+    Option("--loss-db-max", "loss_db_max", _number(float, 0.0), 10.0,
+           "vs-loss largest loss in dB (default 10)"),
+)
+def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_db_max):
     """Product/entangled sensitivity ratio in dB, versus M or versus loss."""
+    from . import protocols
+
     rows = []
     if mode == "vs-M":
         header = ["M", "ratio_db", "eta", "N_S"]
@@ -220,11 +260,10 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
         for m in node_counts:
             ratios = protocols.sensitivity_ratio_db(m, total_photons, loss_etas)
             rows += [(float(db), float(r), m, total_photons) for db, r in zip(loss_grid, ratios)]
-    body = _write_csv(out, header, rows)
     notes = protocols.known_discrepancies()
     if total_photons > protocols.SQUEEZING_CAP_PHOTONS:
         notes.append(protocols.SQUEEZING_CAP_NOTE)
-    _write_manifest(out, None, body, notes)
+    return Result(header, rows, None, notes)
 
 
 _MC_SCALARS = {"seed": _seed, "trials": int}
@@ -234,16 +273,19 @@ _MC_CASE = {
 }
 
 
-@cli.command("monte-carlo")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=SEED, default=None, help="Override the config seed.")
-@click.option("--trials", type=int, default=None, help="Override per-case trial counts.")
-@click.option("--out", type=click.Path(), required=True)
-def cmd_monte_carlo(config_path, seed, trials, out):
+@command(
+    "monte-carlo",
+    CONFIG,
+    Option("--seed", "seed", _seed, None, "Override the config seed."),
+    Option("--trials", "trials", int, None, "Override per-case trial counts."),
+)
+def cmd_monte_carlo(config_path, seed, trials):
     """Monte Carlo validation of the closed-form rms errors; exit 2 on a 4-sigma miss."""
+    from . import protocols
+
     scalars, cases = parse_config(config_path, _MC_SCALARS, _MC_CASE)
     if not cases:
-        raise click.UsageError(f"{config_path}: no [case] sections")
+        raise UsageError(f"{config_path}: no [case] sections")
     base_seed = seed if seed is not None else scalars.get("seed", 0)
     notes = []
     rows = []
@@ -263,7 +305,7 @@ def cmd_monte_carlo(config_path, seed, trials, out):
             )
             report = protocols.simulate_displacement_protocol(cfg)
         except (KeyError, ValueError) as exc:
-            raise click.UsageError(f"{config_path}: case {index}: {exc}")
+            raise UsageError(f"{config_path}: case {index}: {exc}")
         if cfg.total_photons > protocols.SQUEEZING_CAP_PHOTONS and not notes:
             notes.append(protocols.SQUEEZING_CAP_NOTE)
         sigmas = report.agreement_sigmas()
@@ -276,32 +318,27 @@ def cmd_monte_carlo(config_path, seed, trials, out):
             report.rms_standard_error, report.analytic_rms,
             report.estimator_offset, sigmas, status,
         ))
-    body = _write_csv(
-        out,
-        ["case", "scheme", "M", "N_S", "eta", "alpha", "trials", "empirical_mean",
-         "empirical_rms", "rms_standard_error", "analytic_rms", "estimator_offset",
-         "sigma_gap", "status"],
-        rows,
-    )
-    _write_manifest(out, base_seed, body, notes)
-    if not all_pass:
-        raise StatisticalFailure("one or more cases missed the analytic rms by >= 4 sigma")
+    header = ["case", "scheme", "M", "N_S", "eta", "alpha", "trials", "empirical_mean",
+              "empirical_rms", "rms_standard_error", "analytic_rms", "estimator_offset",
+              "sigma_gap", "status"]
+    failure = None if all_pass else "one or more cases missed the analytic rms by >= 4 sigma"
+    return Result(header, rows, base_seed, notes, failure)
 
 
 _WEIGHTED_SCALARS = {"N_S": float, "etas": _float_list, "weights": _float_list}
 
 
-@cli.command("weighted")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_weighted(config_path, out):
+@command("weighted", CONFIG)
+def cmd_weighted(config_path):
     """Heterogeneous-network closed forms, photon allocation and weight optimization."""
+    from . import allocation
+
     scalars, _ = parse_config(config_path, _WEIGHTED_SCALARS)
     try:
         net = allocation.WeightedNetwork(
             len(scalars["etas"]), scalars.get("weights"), scalars["etas"], scalars["N_S"])
     except (KeyError, ValueError) as exc:
-        raise click.UsageError(f"{config_path}: {exc}")
+        raise UsageError(f"{config_path}: {exc}")
     etas, n_s = net.etas, net.total_photons
 
     def weight_str(w):
@@ -322,20 +359,20 @@ def cmd_weighted(config_path, out):
                      weight_str(alloc_opt.photons), alloc_opt.kkt_residual,
                      alloc_opt.iterations))
     except ValueError as exc:
-        raise click.UsageError(f"{config_path}: {exc}")
-    body = _write_csv(
-        out, ["kind", "objective", "weights", "photons", "kkt_residual", "iterations"], rows
-    )
-    _write_manifest(out, None, body)
+        raise UsageError(f"{config_path}: {exc}")
+    return Result(["kind", "objective", "weights", "photons", "kkt_residual", "iterations"],
+                  rows, None)
 
 
-@cli.command("fisher")
-@click.option("--draws", type=click.IntRange(min=0), default=20,
-              help="Random parameter draws to sweep.")
-@click.option("--seed", type=SEED, default=0)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_fisher(draws, seed, out):
+@command(
+    "fisher",
+    Option("--draws", "draws", _number(int, 0), 20, "Random parameter draws to sweep."),
+    Option("--seed", "seed", _seed, 0, "seed in [0, 2^32 - 1] (default 0)"),
+)
+def cmd_fisher(draws, seed):
     """Fisher-information sweep (closed form vs fidelity-limit numeric) + CR-bound table."""
+    from . import fisher, protocols
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
     cases = [fisher.SqueezedThermalParams()]  # vacuum reference row
@@ -361,13 +398,9 @@ def cmd_fisher(draws, seed, out):
                 prod = float(protocols.product_rms_error(m, n_s, eta))
                 rows.append(("crbound", "", "", "", eta, "", "", "",
                              m, n_s, bound, prod, abs(bound - prod)))
-    body = _write_csv(
-        out,
-        ["row_type", "r", "n", "theta", "eta", "fisher_closed", "fisher_numeric",
-         "rel_gap", "M", "N_S", "cr_bound", "product_rms", "difference"],
-        rows,
-    )
-    _write_manifest(out, seed, body)
+    header = ["row_type", "r", "n", "theta", "eta", "fisher_closed", "fisher_numeric",
+              "rel_gap", "M", "N_S", "cr_bound", "product_rms", "difference"]
+    return Result(header, rows, seed)
 
 
 _PHASE_SCALARS = {
@@ -376,13 +409,16 @@ _PHASE_SCALARS = {
 }
 
 
-@cli.command("phase")
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=SEED, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--out", type=click.Path(), required=True)
-def cmd_phase(config_path, seed, trials, out):
+@command(
+    "phase",
+    CONFIG,
+    Option("--seed", "seed", _seed, None, "Override the config seed."),
+    Option("--trials", "trials", int, None, "Override the config trial count."),
+)
+def cmd_phase(config_path, seed, trials):
     """Mach-Zehnder network sweep: empirical vs linearized rms and residuals."""
+    from . import protocols
+
     scalars, _ = parse_config(config_path, _PHASE_SCALARS)
     try:
         m = scalars["M"]
@@ -393,7 +429,7 @@ def cmd_phase(config_path, seed, trials, out):
         run_trials = trials if trials is not None else scalars.get("trials", 100_000)
         run_seed = seed if seed is not None else scalars.get("seed", 0)
     except KeyError as exc:
-        raise click.UsageError(f"{config_path}: missing key {exc}")
+        raise UsageError(f"{config_path}: missing key {exc}")
     rows = []
     for index, dphi in enumerate(dphis):
         try:
@@ -402,7 +438,7 @@ def cmd_phase(config_path, seed, trials, out):
             )
             exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)[2]
         except ValueError as exc:
-            raise click.UsageError(str(exc))
+            raise UsageError(str(exc))
         linearized = report.analytic_rms
         rows.append((
             dphi, report.trials, report.empirical_mean,
@@ -410,14 +446,50 @@ def cmd_phase(config_path, seed, trials, out):
             report.rms_standard_error, linearized, exact_rms,
             abs(exact_rms - linearized),
         ))
-    body = _write_csv(
-        out,
-        ["dphi", "trials", "empirical_mean", "bias", "empirical_rms",
-         "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"],
-        rows,
-    )
+    header = ["dphi", "trials", "empirical_mean", "bias", "empirical_rms",
+              "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"]
     notes = [protocols.SQUEEZING_CAP_NOTE] if n_s > protocols.SQUEEZING_CAP_PHOTONS else []
-    _write_manifest(out, run_seed, body, notes)
+    return Result(header, rows, run_seed, notes)
+
+
+# -- parsing --------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad invocation as UsageError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _parse(argv):
+    """(command name, params): every option's value under its name, ordered as click ordered
+    them, the options given in the order first given, then the rest as declared."""
+    parser = _Parser(prog="cvsense", allow_abbrev=False,
+                     description="Distributed quadrature-sensing curves, campaigns and reports.")
+    parser.add_argument("--version", action="version", version=f"cvsense, version {__version__}")
+    commands = parser.add_subparsers(dest="command_", metavar="COMMAND", required=True,
+                                     title="commands")
+    for name, spec in COMMANDS.items():
+        sub = commands.add_parser(name, help=spec.summary, description=spec.summary,
+                                  allow_abbrev=False)
+        for opt in spec.options:
+            sub.add_argument(opt.flag, dest=opt.name, type=opt.convert, help=opt.help,
+                             choices=opt.choices, required=opt.required,
+                             action="append" if opt.multiple else "store",
+                             default=None if opt.multiple else opt.default)
+    namespace = parser.parse_args(argv)
+    name = namespace.command_
+    flags = [arg.split("=", 1)[0] for arg in argv]
+    params = {}
+    for opt in sorted(COMMANDS[name].options,
+                      key=lambda opt: flags.index(opt.flag) if opt.flag in flags else len(flags)):
+        value = getattr(namespace, opt.name)
+        if opt.multiple:
+            value = opt.default if value is None else tuple(value)
+        params[opt.name] = value
+    return name, params
 
 
 def manifest_to_argv(manifest, out_path):
@@ -425,42 +497,58 @@ def manifest_to_argv(manifest, out_path):
     if manifest.get("manifest_schema") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema {manifest.get('manifest_schema')!r}")
     name = manifest["command"]
-    if name not in cli.commands:
+    if name not in COMMANDS:
         raise ValueError(f"unknown command in manifest: {name!r}")
     argv = [name]
-    for param in cli.commands[name].params:
-        value = manifest["params"].get(param.name)
-        if param.name == "out" or value is None:
+    for opt in COMMANDS[name].options:
+        value = manifest["params"].get(opt.name)
+        if opt.name == "out" or value is None:
             continue
-        for item in value if param.multiple else [value]:
-            argv.extend([param.opts[0], str(item)])
+        for item in value if opt.multiple else [value]:
+            argv.extend([opt.flag, str(item)])
     argv.extend(["--out", out_path])
     return argv
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv):
     try:
-        # obj carries argv to the manifest, which records it verbatim.
-        cli.main(args=argv, standalone_mode=False, obj=argv)
-    except (click.UsageError, click.BadParameter) as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
-        return EXIT_USAGE
-    except MemoryError:  # numpy's allocation failures subclass it
-        click.echo("error: not enough memory for this run; lower the node count", err=True)
-        return EXIT_USAGE
-    except StatisticalFailure as exc:
-        click.echo(f"statistical validation failed: {exc}", err=True)
-        return EXIT_STATISTICAL
-    except RuntimeError as exc:  # after Abort, which is a RuntimeError too
-        click.echo(f"did not converge: {exc}", err=True)
-        return EXIT_NONCONVERGENCE
+        name, params = _parse(argv)
+    except SystemExit as exc:  # --help and --version print, then exit 0
+        return exc.code
+    args = {key: value for key, value in params.items() if key != "out"}
+    result = COMMANDS[name].run(**args)
+    body = _write_csv(params["out"], result.header, result.rows)
+    _write_manifest(params["out"], name, argv, params, result, body)
+    if result.failure:
+        raise StatisticalFailure(result.failure)
     return 0
+
+
+def main(argv=None):
+    """Run one command and return its exit code; argv None reads sys.argv.
+
+    With argv None the caller is the process entry, which exits next: the heap is
+    then frozen, so that interpreter exit does not walk every live module object.
+    """
+    entry = argv is None
+    argv = sys.argv[1:] if entry else list(argv)
+    try:
+        status = _run(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = EXIT_USAGE
+    except MemoryError:  # numpy's allocation failures subclass it
+        print("error: not enough memory for this run; lower the node count", file=sys.stderr)
+        status = EXIT_USAGE
+    except StatisticalFailure as exc:
+        print(f"statistical validation failed: {exc}", file=sys.stderr)
+        status = EXIT_STATISTICAL
+    except RuntimeError as exc:
+        print(f"did not converge: {exc}", file=sys.stderr)
+        status = EXIT_NONCONVERGENCE
+    if entry:
+        gc.freeze()
+    return status
 
 
 if __name__ == "__main__":

@@ -309,28 +309,38 @@ def displace_all(state, alpha):
     return GaussianState(mean, state.cov)
 
 
-def homodyne_samples(mean, a, top, unit, rng, normals, out):
-    """Fill out, shape (n, M), with n joint homodyne outcomes and return it.
+def homodyne_plan(mean, a, top, unit):
+    """Check a homodyne marginal once and return what homodyne_samples draws from.
 
     The measured quadratures have mean `mean` (length M) and covariance
     a I + (top - a) u u^T, the form of every pipeline marginal: variance top
-    along the unit vector u = `unit` (or zero) and a across it. Normals z give
-    x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M) per trial.
-    normals is caller-owned scratch of out's shape, overwritten, so a caller
-    that reuses both buffers allocates only O(n + M) per call; reproducible
-    given rng.
+    along the unit vector u = `unit` (or zero) and a across it. The plan is
+    (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
     """
     unit = np.asarray(unit, dtype=float)
     # nan fails every test here, and u . u is nan or inf when any entry of u is.
     if not (0.0 <= a < np.inf and 0.0 <= top < np.inf and np.isfinite(unit @ unit)):
         raise ValueError(f"quadrature covariance is not finite and PSD "
                          f"(eigenvalues {a:.3e}, {top:.3e})")
+    return unit, np.sqrt(a), np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean])
+
+
+def homodyne_samples(plan, rng, normals, out):
+    """Fill out, shape (n, M), with n joint homodyne outcomes of homodyne_plan's
+    marginal and return it.
+
+    Normals z give x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M)
+    per trial. normals is caller-owned scratch of out's shape, overwritten, so a
+    caller that reuses both buffers allocates only O(n) per call; reproducible
+    given rng.
+    """
+    unit, root_a, right = plan
     rng.standard_normal(out=normals)
     # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
     left = np.empty((2, normals.shape[0]))
     np.matmul(normals, unit, out=left[0])
     left[1] = 1.0
-    np.matmul(left.T, np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean]), out=out)
-    normals *= np.sqrt(a)
+    np.matmul(left.T, right, out=out)
+    normals *= root_a
     out += normals
     return out

@@ -201,6 +201,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
     """
     if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
         raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
+    plan = gaussian.homodyne_plan(mean, a, top, unit)  # checked and formed once, not per chunk
     rows = min(trials, max(1, CHUNK_NORMALS // mean.size))
     chunks = -(-trials // rows)
     sums = np.empty((chunks, 2))  # per chunk: sum of estimates, sum of squares about target
@@ -217,7 +218,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
                     return
                 n = min(rows, trials - j * rows)
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-                block = gaussian.homodyne_samples(mean, a, top, unit, rng, normals[:n], samples[:n])
+                block = gaussian.homodyne_samples(plan, rng, normals[:n], samples[:n])
                 chunk = np.matmul(block, weights, out=est[:n])
                 sums[j, 0] = chunk.sum()
                 chunk -= target

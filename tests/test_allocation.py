@@ -221,10 +221,18 @@ def test_weighted_entangled_random_instances():
         assert pr.simulate_displacement_protocol(cfg).agreement_sigmas() < 4.0
 
 
-def test_allocation_requires_positive_budget():
-    net = uniform_net(2, 0.0, 0.9)
-    with pytest.raises(ValueError):
-        al.allocate_photons_product(net)
+def test_allocation_at_zero_budget_is_the_vacuum():
+    # No photons: every node is in vacuum, noise kernel 1 and node Fisher information 4.
+    net = al.WeightedNetwork(3, [0.5, 0.3, 0.2], [0.9, 0.4, 1.0], 0.0)
+    result = al.allocate_photons_product(net)
+    assert np.array_equal(result.photons, np.zeros(3))
+    assert result.objective == pytest.approx(0.5 * np.sqrt(0.25 + 0.09 + 0.04), rel=1e-15)
+    assert (result.kkt_residual, result.iterations) == (0.0, 0)
+    weights, joint = al.optimal_weights_product(net.etas, 0.0)
+    assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
+    assert np.array_equal(joint.photons, np.zeros(3))
+    assert joint.objective == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-15)
+    assert (joint.kkt_residual, joint.iterations) == (0.0, 0)
 
 
 def _check_allocation(net):
@@ -372,7 +380,7 @@ def test_allocation_with_an_underflowing_share():
     assert result.kkt_residual <= al.KKT_TOL
 
 
-@pytest.mark.parametrize("n_s", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("n_s", [-1.0, np.nan, np.inf])
 def test_optimal_weights_product_rejects_bad_budget(n_s):
     with pytest.raises(ValueError, match="photon budget"):
         al.optimal_weights_product(np.array([0.9, 0.3]), n_s)

@@ -1,10 +1,12 @@
+import gc
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvsense import cli, protocols
+from cvsense import allocation, cli, protocols
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -149,7 +151,7 @@ def test_monte_carlo_statistical_failure(tmp_path, configs_dir, monkeypatch):
             rms_standard_error=1e-3, analytic_rms=0.5, scheme=cfg.scheme,
         )
 
-    monkeypatch.setattr(cli.protocols, "simulate_displacement_protocol", rigged)
+    monkeypatch.setattr(protocols, "simulate_displacement_protocol", rigged)
     code = run(["monte-carlo", "--config", configs_dir / "fig1_check.cfg",
                 "--trials", 10, "--out", tmp_path / "mc.csv"])
     assert code == 2
@@ -216,7 +218,7 @@ def test_memory_error_exits_1(tmp_path, monkeypatch, capsys, command, config, ta
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB")
 
-    monkeypatch.setattr(cli.protocols, target, exhausted)
+    monkeypatch.setattr(protocols, target, exhausted)
     (tmp_path / "big.cfg").write_text(config)
     out = tmp_path / "x.csv"
     assert run([command, "--config", tmp_path / "big.cfg", "--out", out]) == 1
@@ -230,7 +232,7 @@ def test_memory_error_exits_1(tmp_path, monkeypatch, capsys, command, config, ta
 def test_weighted_exits_3_on_an_unfinished_allocation(tmp_path, monkeypatch, capsys, setting):
     # Three bisections cannot narrow the level to 1e-14, and the config's KKT
     # residual, 2.4e-16, is above 1e-20: neither allocation is returned.
-    monkeypatch.setattr(cli.allocation, *setting)
+    monkeypatch.setattr(allocation, *setting)
     out = tmp_path / "w.csv"
     assert run(["weighted", "--config", CONFIGS / "weighted_m2.cfg", "--out", out]) == 3
     err = capsys.readouterr().err
@@ -242,7 +244,7 @@ def test_weighted_nonconvergence(tmp_path, configs_dir, monkeypatch):
     def stuck(etas, total_photons):
         raise RuntimeError("weight/allocation alternation did not converge")
 
-    monkeypatch.setattr(cli.allocation, "optimal_weights_product", stuck)
+    monkeypatch.setattr(allocation, "optimal_weights_product", stuck)
     code = run(["weighted", "--config", configs_dir / "weighted_m2.cfg",
                 "--out", tmp_path / "w.csv"])
     assert code == 3
@@ -423,7 +425,7 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
     ["ratio-curve", "--mode", "vs-M", "--eta", 0],
     ["ratio-curve", "--mode", "vs-loss", "--m", 0],
     ["ratio-curve", "--mode", "vs-loss", "--loss-db-max", -5],
-    ["weighted", "--config", "zero_budget.cfg"],
+    ["weighted", "--config", "negative_budget.cfg"],
     ["fisher", "--draws", -1],
     ["fisher", "--seed", -1],
     ["monte-carlo", "--config", "negative_seed_mc.cfg"],
@@ -459,7 +461,7 @@ SMALL_PHASE = "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\n"
 NEGATIVE_SEED_MC = "seed = -1\n" + SMALL_MC
 NEGATIVE_SEED_PHASE = SMALL_PHASE + "seed = -1\n"
 HOSTILE_CONFIGS = {
-    "zero_budget.cfg": "N_S = 0\netas = 0.9, 0.3\n",
+    "negative_budget.cfg": "N_S = -1\netas = 0.9, 0.3\n",
     "nan_budget.cfg": "N_S = nan\netas = 0.9, 0.3\n",
     "no_etas.cfg": "N_S = 4\netas =\n",
     "negative_seed_mc.cfg": NEGATIVE_SEED_MC,
@@ -480,7 +482,7 @@ HOSTILE_CONFIGS = {
 ], ids=["fisher", "monte-carlo", "phase"])
 def test_largest_seed_is_accepted(tmp_path, command, config):
     # Seeds are one 32-bit word: 2^32 - 1 runs, 2^32 is a usage error.
-    args = [command, "--seed", cli.SEED_MAX, "--out", tmp_path / "x.csv"]
+    args = [command, "--seed", protocols.SEED_MAX, "--out", tmp_path / "x.csv"]
     if config is None:
         args += ["--draws", 1]
     else:
@@ -514,3 +516,119 @@ def test_phase_names_a_bad_node_count_or_drive(tmp_path, capsys, old, new, messa
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+# The parameters each README invocation recorded before the command line moved to
+# argparse, written out, so that manifests replay in both directions.
+README_PARAMS = [
+    (["rms-curve", "--photons-per-node", "1.0", "--m-min", "10", "--m-max", "10000"],
+     {"photons_per_node": 1.0, "m_min": 10, "m_max": 10000, "out": "OUT", "scheme": "both",
+      "etas": [1.0], "total_photons": None}),
+    (["ratio-curve", "--mode", "vs-M", "--total-photons", "10"],
+     {"mode": "vs-M", "total_photons": 10.0, "out": "OUT",
+      "etas": [0.5, 0.8, 0.9, 0.95, 0.99, 1.0], "node_counts": [5, 10, 20, 50, 100, 1000],
+      "m_min": 1, "m_max": 1000, "loss_db_max": 10.0}),
+    (["ratio-curve", "--mode", "vs-loss", "--total-photons", "10"],
+     {"mode": "vs-loss", "total_photons": 10.0, "out": "OUT",
+      "etas": [0.5, 0.8, 0.9, 0.95, 0.99, 1.0], "node_counts": [5, 10, 20, 50, 100, 1000],
+      "m_min": 1, "m_max": 1000, "loss_db_max": 10.0}),
+    (["monte-carlo", "--config", "configs/fig1_check.cfg", "--trials", "100"],
+     {"config_path": "configs/fig1_check.cfg", "trials": 100, "out": "OUT", "seed": None}),
+    (["weighted", "--config", "configs/weighted_m2.cfg"],
+     {"config_path": "configs/weighted_m2.cfg", "out": "OUT"}),
+    (["fisher", "--draws", "20", "--seed", "0"], {"draws": 20, "seed": 0, "out": "OUT"}),
+    (["phase", "--config", "configs/phase_sweep.cfg", "--trials", "100"],
+     {"config_path": "configs/phase_sweep.cfg", "trials": 100, "out": "OUT", "seed": None}),
+]
+
+
+@pytest.mark.parametrize("args, params", README_PARAMS,
+                         ids=[" ".join(args[:3]) for args, _ in README_PARAMS])
+def test_readme_invocations_record_the_same_params(tmp_path, monkeypatch, args, params):
+    monkeypatch.chdir(CONFIGS.parent)
+    out = str(tmp_path / "x.csv")
+    assert cli.main(args + ["--out", out]) == 0
+    info = manifest(out)
+    # Same values and the same key order: options as given, then the rest as declared.
+    expected = {key: out if value == "OUT" else value for key, value in params.items()}
+    assert list(info["params"].items()) == list(expected.items())
+    assert info["argv"] == args + ["--out", out]
+    replay = str(tmp_path / "replay.csv")
+    assert cli.main(cli.manifest_to_argv(info, replay)) == 0
+    assert csv_body(replay) == csv_body(out)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["rms-curve", "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["rms-curve", "--scheme", "both-ways", "--total-photons", "1"], "invalid choice"),
+    (["rms-curve", "--photons", "1"], "unrecognized arguments: --photons"),  # no abbreviations
+    (["rms-curve", "--total-photons", "nan"], "is not a finite float >= 0.0"),
+    (["rms-curve", "--total-photons", "inf"], "is not a finite float >= 0.0"),
+    (["ratio-curve", "--mode", "vs-M", "--eta", "nan"], "is not a finite float in (0.0, 1.0]"),
+    (["ratio-curve", "--mode", "vs-loss", "--loss-db-max", "inf"], "is not a finite float"),
+    (["fisher", "--draws", "1.5"], "argument --draws"),
+    (["fisher", "--seed", str(2**32)], "must lie in [0, 4294967295]"),
+    ([], "required: COMMAND"),
+], ids=["unknown-option", "bad-choice", "abbreviation", "nan", "inf", "nan-eta", "inf-loss",
+        "float-draws", "big-seed", "no-command"])
+def test_usage_errors_exit_1_with_a_message(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    assert run(args + (["--out", out] if args else [])) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_missing_out_and_missing_config_exit_1(tmp_path, capsys):
+    assert run(["fisher", "--draws", 1]) == 1
+    assert "required: --out" in capsys.readouterr().err
+    assert run(["weighted", "--config", tmp_path / "none.cfg", "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"]] + [
+    [name, "--help"] for name in ("rms-curve", "ratio-curve", "monte-carlo", "weighted",
+                                  "fisher", "phase")])
+def test_help_and_version_return_0(capsys, args):
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert ("cvsense, version" in out) if args == ["--version"] else out.startswith("usage:")
+
+
+@pytest.fixture
+def unfrozen():
+    yield
+    gc.unfreeze()
+
+
+def test_main_with_argv_leaves_the_heap_unfrozen(tmp_path, unfrozen):
+    before = gc.get_freeze_count()
+    assert cli.main(["fisher", "--draws", "1", "--out", str(tmp_path / "x.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_as_process_entry_freezes_the_heap(tmp_path, monkeypatch, unfrozen):
+    gc.unfreeze()
+    monkeypatch.setattr(sys, "argv", ["cvsense", "fisher", "--draws", "1",
+                                      "--out", str(tmp_path / "x.csv")])
+    assert cli.main() == 0
+    assert gc.get_freeze_count() > 0
+
+
+def test_weighted_answers_a_zero_budget(tmp_path):
+    # No photons: every node in vacuum, the vacuum rms, uniform product weights.
+    config = tmp_path / "w.cfg"
+    config.write_text("N_S = 0\netas = 0.9, 0.3\nweights = 0.75, 0.25\n")
+    out = tmp_path / "w.csv"
+    assert run(["weighted", "--config", config, "--out", out]) == 0
+    assert "nan" not in csv_body(out)
+    rows = {row["kind"]: row for row in csv_rows(out)[1]}
+    assert float(rows["product_allocation"]["objective"]) == pytest.approx(
+        0.5 * np.sqrt(0.75**2 + 0.25**2), rel=1e-12)
+    assert rows["product_allocation"]["photons"] == "0;0"
+    assert (rows["optimized_product"]["weights"], rows["optimized_product"]["photons"]) == (
+        "0.5;0.5", "0;0")
+    assert float(rows["optimized_product"]["objective"]) == pytest.approx(0.5 / np.sqrt(2.0))
+    for kind in ("product_allocation", "optimized_product"):
+        assert (rows[kind]["kkt_residual"], rows[kind]["iterations"]) == ("0", "0")

@@ -188,8 +188,8 @@ def test_displace_all_and_ordering():
 def _homodyne(mean, a, top, unit, num_samples, rng):
     """num_samples outcomes of N(mean, a I + (top - a) u u^T), in freshly allocated buffers."""
     out = np.empty((num_samples, np.size(mean)))
-    return g.homodyne_samples(np.asarray(mean, dtype=float), a, top, unit, rng,
-                              np.empty_like(out), out)
+    plan = g.homodyne_plan(np.asarray(mean, dtype=float), a, top, unit)
+    return g.homodyne_samples(plan, rng, np.empty_like(out), out)
 
 
 def test_homodyne_sampling_statistics():
@@ -240,8 +240,8 @@ def test_homodyne_reproducible():
     # Refilling the same buffers draws the stream's next outcomes.
     normals, out = np.empty((2, 2)), np.empty((2, 2))
     rng = np.random.default_rng(9)
-    first = g.homodyne_samples(*args, rng, normals, out).copy()
-    second = g.homodyne_samples(*args, rng, normals, out)
+    first = g.homodyne_samples(g.homodyne_plan(*args), rng, normals, out).copy()
+    second = g.homodyne_samples(g.homodyne_plan(*args), rng, normals, out)
     assert second is out
     both = _homodyne(*args, 4, np.random.default_rng(9))
     assert np.array_equal(np.vstack([first, second]), both)
@@ -255,10 +255,8 @@ def test_homodyne_reproducible():
      (0.25, 0.1, [0.0, np.inf, 0.0])],
 )
 def test_homodyne_rejects_non_physical_marginals(a, top, v):
-    out = np.empty((2, 3))
     with pytest.raises(ValueError, match="not finite and PSD"):
-        g.homodyne_samples(np.zeros(3), a, top, v, np.random.default_rng(0),
-                           np.empty_like(out), out)
+        g.homodyne_plan(np.zeros(3), a, top, v)
 
 
 def test_state_validation():

@@ -248,9 +248,9 @@ def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
     seen = {}
     real = g.homodyne_samples
 
-    def spy(mean, a, top, unit, rng, normals, out):
+    def spy(plan, rng, normals, out):
         seen[rng.bit_generator.seed_seq.spawn_key] = rng.bit_generator.state
-        return real(mean, a, top, unit, rng, normals, out)
+        return real(plan, rng, normals, out)
 
     monkeypatch.setattr(g, "homodyne_samples", spy)
     pr.simulate_displacement_protocol(pr.SensorNetworkConfig(1, 2.0, seed=(9, 4), trials=5))
@@ -264,14 +264,14 @@ def test_a_chunk_failing_in_a_helper_thread_stops_the_campaign(monkeypatch):
     real = g.homodyne_samples
     raised = threading.Event()
 
-    def failing(mean, a, top, unit, rng, normals, out):
+    def failing(plan, rng, normals, out):
         chunk = rng.bit_generator.seed_seq.spawn_key[0]
         if threading.current_thread() is threading.main_thread():
             raised.wait(timeout=30)  # the caller's chunks wait for a helper's failure
         elif chunk >= 1:
             raised.set()
             raise ValueError(f"chunk {chunk} failed")
-        return real(mean, a, top, unit, rng, normals, out)
+        return real(plan, rng, normals, out)
 
     monkeypatch.setattr(g, "homodyne_samples", failing)
     before = threading.active_count()
