@@ -228,7 +228,11 @@ def test_allocation_at_zero_budget_is_the_vacuum():
     assert np.array_equal(result.photons, np.zeros(3))
     assert result.objective == pytest.approx(0.5 * np.sqrt(0.25 + 0.09 + 0.04), rel=1e-15)
     assert (result.kkt_residual, result.iterations) == (0.0, 0)
-    weights, joint = al.optimal_weights_product(net.etas, 0.0)
+
+
+def test_optimal_weights_product_at_zero_budget_is_uniform():
+    # Every node in vacuum has F_m = 4, so the optimal weights are uniform.
+    weights, joint = al.optimal_weights_product(np.array([0.9, 0.4, 1.0]), 0.0)
     assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
     assert np.array_equal(joint.photons, np.zeros(3))
     assert joint.objective == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-15)
