@@ -230,9 +230,8 @@ def optimal_weights_product(etas, total_photons):
     _check_etas(etas)
     _check_budget(total_photons)
     if total_photons == 0:
-        photons = np.zeros(etas.size)
-        return np.full(etas.size, 1.0 / etas.size), AllocationResult(
-            photons, float(1.0 / np.sqrt(4.0 * etas.size)), 0.0, 0)
+        weights, photons = np.full(etas.size, 1.0 / etas.size), np.zeros(etas.size)
+        return weights, AllocationResult(photons, weighted_rms(weights, etas, photons), 0.0, 0)
     at_budget = _fisher_marginal(etas, total_photons)[0]
     x = slope = previous = None  # a Newton step from the previous level's roots seeds the next
 

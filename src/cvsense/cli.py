@@ -464,8 +464,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse(argv):
-    """(command name, params): every option's value under its name, ordered as click ordered
-    them, the options given in the order first given, then the rest as declared."""
+    """(command name, params): every option's value under its name, in declaration order."""
     parser = _Parser(prog="cvsense", allow_abbrev=False,
                      description="Distributed quadrature-sensing curves, campaigns and reports.")
     parser.add_argument("--version", action="version", version=f"cvsense, version {__version__}")
@@ -481,10 +480,8 @@ def _parse(argv):
                              default=None if opt.multiple else opt.default)
     namespace = parser.parse_args(argv)
     name = namespace.command_
-    flags = [arg.split("=", 1)[0] for arg in argv]
     params = {}
-    for opt in sorted(COMMANDS[name].options,
-                      key=lambda opt: flags.index(opt.flag) if opt.flag in flags else len(flags)):
+    for opt in COMMANDS[name].options:
         value = getattr(namespace, opt.name)
         if opt.multiple:
             value = opt.default if value is None else tuple(value)
@@ -536,6 +533,9 @@ def main(argv=None):
         status = _run(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        status = EXIT_USAGE
+    except (KeyboardInterrupt, EOFError):
+        print("\nerror: interrupted", file=sys.stderr)
         status = EXIT_USAGE
     except MemoryError:  # numpy's allocation failures subclass it
         print("error: not enough memory for this run; lower the node count", file=sys.stderr)

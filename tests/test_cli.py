@@ -549,9 +549,8 @@ def test_readme_invocations_record_the_same_params(tmp_path, monkeypatch, args, 
     out = str(tmp_path / "x.csv")
     assert cli.main(args + ["--out", out]) == 0
     info = manifest(out)
-    # Same values and the same key order: options as given, then the rest as declared.
     expected = {key: out if value == "OUT" else value for key, value in params.items()}
-    assert list(info["params"].items()) == list(expected.items())
+    assert info["params"] == expected
     assert info["argv"] == args + ["--out", out]
     replay = str(tmp_path / "replay.csv")
     assert cli.main(cli.manifest_to_argv(info, replay)) == 0
@@ -585,6 +584,16 @@ def test_missing_out_and_missing_config_exit_1(tmp_path, capsys):
     assert run(["weighted", "--config", tmp_path / "none.cfg", "--out", tmp_path / "x.csv"]) == 1
     err = capsys.readouterr().err
     assert "cannot read config" in err and "Traceback" not in err
+
+
+def test_interrupt_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def interrupted(**_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "fisher", cli.COMMANDS["fisher"]._replace(run=interrupted))
+    assert run(["fisher", "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "interrupted" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [["--help"], ["--version"]] + [
