@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "protocols": (
         "EstimatorReport", "SensorNetworkConfig", "build_entangled_input", "build_product_input",
-        "entangled_rms_error", "phase_rms_error", "product_rms_error", "scaling_exponent",
-        "sensitivity_ratio_db", "simulate_displacement_protocol", "simulate_phase_protocol",
+        "entangled_rms_error", "phase_rms_error", "product_rms_error", "sensitivity_ratio_db",
+        "simulate_displacement_protocol", "simulate_phase_protocol",
     ),
     "allocation": (
         "AllocationResult", "WeightedNetwork", "allocate_photons_product",

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from collections import namedtuple
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,11 +49,9 @@ def _fmt(value):
     return str(value)
 
 
-def _fmt_etas(etas):
-    """One value when every node has the same transmissivity, else one per node."""
-    if np.all(etas == etas[0]):
-        return _fmt(etas[0])
-    return ";".join(_fmt(e) for e in etas)
+def _fmt_vector(values):
+    """A vector cell: its values, ;-separated."""
+    return ";".join(_fmt(float(v)) for v in values)
 
 
 def _write_csv(path, header, rows):
@@ -63,18 +62,18 @@ def _write_csv(path, header, rows):
     return body
 
 
-def _write_manifest(out_path, command, argv, params, result, body):
+def _write_manifest(out_path, command, argv, params, seed, notes, body):
     """Sidecar recording the invocation: main's argv and the command's parsed parameters."""
     manifest = {
         "manifest_schema": MANIFEST_SCHEMA,
         "command": command,
         "argv": argv,
         "params": params,
-        "seed": result.seed,
+        "seed": seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "csv_sha256": hashlib.sha256(body.encode()).hexdigest(),
-        "notes": list(result.notes),
+        "notes": notes,
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -219,14 +218,13 @@ def cmd_rms_curve(scheme, etas, photons_per_node, total_photons, m_min, m_max):
     ms = _log_spaced(m_min, m_max)
     n_s = total_photons if total_photons is not None else photons_per_node * ms
     per_node = n_s / ms
-    notes = [protocols.SQUEEZING_CAP_NOTE] if np.any(n_s > protocols.SQUEEZING_CAP_PHOTONS) else []
     rows = []
     for eta in etas:
         curves = [formulas[sch](ms, n_s, eta) for sch in schemes]
         for i, m in enumerate(ms):
             for sch, curve in zip(schemes, curves):
                 rows.append((m, float(curve[i]), sch, eta, per_node[i]))
-    return Result(["M", "delta_alpha", "scheme", "eta", "n_S"], rows, None, notes)
+    return Result(["M", "delta_alpha", "scheme", "eta", "n_S"], rows, None)
 
 
 @command(
@@ -260,10 +258,7 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
         for m in node_counts:
             ratios = protocols.sensitivity_ratio_db(m, total_photons, loss_etas)
             rows += [(float(db), float(r), m, total_photons) for db, r in zip(loss_grid, ratios)]
-    notes = protocols.known_discrepancies()
-    if total_photons > protocols.SQUEEZING_CAP_PHOTONS:
-        notes.append(protocols.SQUEEZING_CAP_NOTE)
-    return Result(header, rows, None, notes)
+    return Result(header, rows, None, protocols.known_discrepancies())
 
 
 _MC_SCALARS = {"seed": _seed, "trials": int}
@@ -285,9 +280,8 @@ def cmd_monte_carlo(config_path, seed, trials):
 
     scalars, cases = parse_config(config_path, _MC_SCALARS, _MC_CASE)
     if not cases:
-        raise UsageError(f"{config_path}: no [case] sections")
+        raise ValueError("no [case] sections")
     base_seed = seed if seed is not None else scalars.get("seed", 0)
-    notes = []
     rows = []
     all_pass = True
     for index, case in enumerate(cases):
@@ -305,24 +299,20 @@ def cmd_monte_carlo(config_path, seed, trials):
             )
             report = protocols.simulate_displacement_protocol(cfg)
         except (KeyError, ValueError) as exc:
-            raise UsageError(f"{config_path}: case {index}: {exc}")
-        if cfg.total_photons > protocols.SQUEEZING_CAP_PHOTONS and not notes:
-            notes.append(protocols.SQUEEZING_CAP_NOTE)
+            raise ValueError(f"case {index}: {_reason(exc)}") from exc
         sigmas = report.agreement_sigmas()
         status = "PASS" if sigmas < 4.0 else "FAIL"
         all_pass &= status == "PASS"
         rows.append((
             index, report.scheme, cfg.num_nodes, cfg.total_photons,
-            _fmt_etas(cfg.eta), cfg.alpha_true, report.trials,
-            report.empirical_mean, report.empirical_rms_error,
-            report.rms_standard_error, report.analytic_rms,
-            report.estimator_offset, sigmas, status,
+            _fmt_vector(cfg.eta[:1] if np.all(cfg.eta == cfg.eta[0]) else cfg.eta),
+            cfg.alpha_true, report.trials, report.empirical_mean, report.empirical_rms_error,
+            report.rms_standard_error, report.analytic_rms, sigmas, status,
         ))
     header = ["case", "scheme", "M", "N_S", "eta", "alpha", "trials", "empirical_mean",
-              "empirical_rms", "rms_standard_error", "analytic_rms", "estimator_offset",
-              "sigma_gap", "status"]
+              "empirical_rms", "rms_standard_error", "analytic_rms", "sigma_gap", "status"]
     failure = None if all_pass else "one or more cases missed the analytic rms by >= 4 sigma"
-    return Result(header, rows, base_seed, notes, failure)
+    return Result(header, rows, base_seed, failure=failure)
 
 
 _WEIGHTED_SCALARS = {"N_S": float, "etas": _float_list, "weights": _float_list}
@@ -334,32 +324,22 @@ def cmd_weighted(config_path):
     from . import allocation
 
     scalars, _ = parse_config(config_path, _WEIGHTED_SCALARS)
-    try:
-        net = allocation.WeightedNetwork(
-            len(scalars["etas"]), scalars.get("weights"), scalars["etas"], scalars["N_S"])
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"{config_path}: {exc}")
+    net = allocation.WeightedNetwork(
+        len(scalars["etas"]), scalars.get("weights"), scalars["etas"], scalars["N_S"])
     etas, n_s = net.etas, net.total_photons
-
-    def weight_str(w):
-        return ";".join(_fmt(float(v)) for v in w)
-
-    rows = []
-    rows.append(("entangled_closed_form", allocation.weighted_entangled_rms(net),
-                 weight_str(net.weights), "", "", ""))
-    try:
-        alloc = allocation.allocate_photons_product(net)
-        rows.append(("product_allocation", alloc.objective, weight_str(net.weights),
-                     weight_str(alloc.photons), alloc.kkt_residual, alloc.iterations))
-        w_opt = allocation.optimal_weights_entangled(etas, n_s)
-        rows.append(("optimized_entangled", allocation.weighted_rms(w_opt, etas, n_s),
-                     weight_str(w_opt), "", "", ""))
-        w_prod, alloc_opt = allocation.optimal_weights_product(etas, n_s)
-        rows.append(("optimized_product", alloc_opt.objective, weight_str(w_prod),
-                     weight_str(alloc_opt.photons), alloc_opt.kkt_residual,
-                     alloc_opt.iterations))
-    except ValueError as exc:
-        raise UsageError(f"{config_path}: {exc}")
+    alloc = allocation.allocate_photons_product(net)
+    w_opt = allocation.optimal_weights_entangled(etas, n_s)
+    w_prod, alloc_opt = allocation.optimal_weights_product(etas, n_s)
+    rows = [
+        ("entangled_closed_form", allocation.weighted_entangled_rms(net),
+         _fmt_vector(net.weights), "", "", ""),
+        ("product_allocation", alloc.objective, _fmt_vector(net.weights),
+         _fmt_vector(alloc.photons), alloc.kkt_residual, alloc.iterations),
+        ("optimized_entangled", allocation.weighted_rms(w_opt, etas, n_s),
+         _fmt_vector(w_opt), "", "", ""),
+        ("optimized_product", alloc_opt.objective, _fmt_vector(w_prod),
+         _fmt_vector(alloc_opt.photons), alloc_opt.kkt_residual, alloc_opt.iterations),
+    ]
     return Result(["kind", "objective", "weights", "photons", "kkt_residual", "iterations"],
                   rows, None)
 
@@ -420,25 +400,16 @@ def cmd_phase(config_path, seed, trials):
     from . import protocols
 
     scalars, _ = parse_config(config_path, _PHASE_SCALARS)
-    try:
-        m = scalars["M"]
-        n_s = scalars["N_S"]
-        n_v = scalars["N_v"]
-        eta = scalars.get("eta", 1.0)
-        dphis = scalars["dphi"]
-        run_trials = trials if trials is not None else scalars.get("trials", 100_000)
-        run_seed = seed if seed is not None else scalars.get("seed", 0)
-    except KeyError as exc:
-        raise UsageError(f"{config_path}: missing key {exc}")
+    m, n_s, n_v, dphis = scalars["M"], scalars["N_S"], scalars["N_v"], scalars["dphi"]
+    eta = scalars.get("eta", 1.0)
+    run_trials = trials if trials is not None else scalars.get("trials", 100_000)
+    run_seed = seed if seed is not None else scalars.get("seed", 0)
     rows = []
     for index, dphi in enumerate(dphis):
-        try:
-            report = protocols.simulate_phase_protocol(
-                m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
-            )
-            exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)[2]
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        report = protocols.simulate_phase_protocol(
+            m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
+        )
+        exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)[2]
         linearized = report.analytic_rms
         rows.append((
             dphi, report.trials, report.empirical_mean,
@@ -448,8 +419,7 @@ def cmd_phase(config_path, seed, trials):
         ))
     header = ["dphi", "trials", "empirical_mean", "bias", "empirical_rms",
               "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"]
-    notes = [protocols.SQUEEZING_CAP_NOTE] if n_s > protocols.SQUEEZING_CAP_PHOTONS else []
-    return Result(header, rows, run_seed, notes)
+    return Result(header, rows, run_seed)
 
 
 # -- parsing --------------------------------------------------------------
@@ -507,15 +477,37 @@ def manifest_to_argv(manifest, out_path):
     return argv
 
 
+def _reason(exc):
+    """A config or domain error's message: a KeyError names a config key the command needs."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _run(argv):
+    """Parse and run one command, then write its CSV and manifest.
+
+    The command's KeyError or ValueError becomes a UsageError naming its config. Each
+    distinct warning it raised is printed once and noted once, after its own notes.
+    """
     try:
         name, params = _parse(argv)
     except SystemExit as exc:  # --help and --version print, then exit 0
         return exc.code
     args = {key: value for key, value in params.items() if key != "out"}
-    result = COMMANDS[name].run(**args)
+    with warnings.catch_warnings(record=True) as caught:
+        # Every UserWarning, not only the first from each line; other filters (error::...) hold.
+        warnings.simplefilter("always", UserWarning)
+        try:
+            result = COMMANDS[name].run(**args)
+        except (KeyError, ValueError) as exc:
+            where = f"{args['config_path']}: " if "config_path" in args else ""
+            raise UsageError(where + _reason(exc)) from exc
+        finally:
+            raised = list(dict.fromkeys(str(w.message) for w in caught))
+            for text in raised:
+                print(f"warning: {text}", file=sys.stderr)
     body = _write_csv(params["out"], result.header, result.rows)
-    _write_manifest(params["out"], name, argv, params, result, body)
+    _write_manifest(params["out"], name, argv, params, result.seed,
+                    [*result.notes, *raised], body)
     if result.failure:
         raise StatisticalFailure(result.failure)
     return 0

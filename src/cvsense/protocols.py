@@ -3,7 +3,7 @@
 Closed-form rms errors for the entangled (shared squeezed vacuum split
 over M nodes) and product (per-node squeezed vacuum) schemes, Monte
 Carlo estimation campaigns over the pipeline's exact marginals in O(M)
-form, scaling diagnostics, and the Mach-Zehnder phase-sensing network.
+form, and the Mach-Zehnder phase-sensing network.
 """
 
 from __future__ import annotations
@@ -71,9 +71,12 @@ CHUNK_NORMALS = 1 << 15
 
 
 def _check_domain(num_nodes, total_photons, eta):
+    """Raise ValueError outside the closed forms' domain; warn past the 40 dB squeezing cap."""
     _check_nodes(num_nodes)
     _check_budget(total_photons)
     _check_etas(eta)
+    if np.any(np.asarray(total_photons) > SQUEEZING_CAP_PHOTONS):
+        warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=3)
 
 
 def entangled_rms_error(num_nodes, total_photons, eta):
@@ -170,8 +173,6 @@ class EstimatorReport:
     rms_standard_error: float
     analytic_rms: float
     scheme: str
-    # Eq.-(1)-style mean subtraction; identically zero for zero-mean inputs.
-    estimator_offset: float = 0.0
 
     def agreement_sigmas(self):
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
@@ -324,25 +325,6 @@ def simulate_displacement_protocol(cfg):
     )
 
 
-# -- scaling diagnostics --------------------------------------------------
-
-
-def scaling_exponent(scheme, eta, photons_per_node, node_counts):
-    """Least-squares slope of log10(rms) against log10(M) at fixed N_S/M."""
-    node_counts = np.asarray(node_counts, dtype=float)
-    if node_counts.size < 3:
-        raise ValueError("need at least 3 node counts")
-    span = np.log10(node_counts.max() / node_counts.min())
-    if span < 2.0:
-        raise ValueError("node counts must span at least two decades")
-    formula = entangled_rms_error if scheme == "entangled" else product_rms_error
-    errs = np.array(
-        [formula(m, photons_per_node * m, eta) for m in node_counts]
-    )
-    slope = np.polyfit(np.log10(node_counts), np.log10(errs), 1)[0]
-    return float(slope)
-
-
 # -- phase sensing --------------------------------------------------------
 
 
@@ -420,8 +402,6 @@ def simulate_phase_protocol(
     if trials < 1:
         raise ValueError("trial count must be positive")
     marginal = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
-    if total_photons > SQUEEZING_CAP_PHOTONS:
-        warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     return _run_campaign(
         *marginal, target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),

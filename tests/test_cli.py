@@ -1,6 +1,7 @@
 import gc
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,10 @@ def csv_rows(path):
 
 def manifest(path):
     return json.loads(Path(str(path) + ".manifest.json").read_text())
+
+
+def warning_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
 
 
 def test_rms_curve_basic(tmp_path):
@@ -70,12 +75,17 @@ def test_ratio_curve_vs_m(tmp_path):
     assert manifest(out)["notes"] == [protocols.EIGHT_DB_NOTE]
 
 
-@pytest.mark.parametrize("mode", ["vs-M", "vs-loss"])
-def test_ratio_curve_manifest_notes_squeezing_cap(tmp_path, mode):
-    out = tmp_path / "ratio.csv"
-    assert run(["ratio-curve", "--mode", mode, "--total-photons", 1e5, "--m-max", 10,
-                "--m", 10, "--out", out]) == 0
-    assert manifest(out)["notes"] == [protocols.EIGHT_DB_NOTE, protocols.SQUEEZING_CAP_NOTE]
+@pytest.mark.parametrize("args, notes", [
+    (["ratio-curve", "--mode", "vs-M", "--m-max", 10], [protocols.EIGHT_DB_NOTE]),
+    (["ratio-curve", "--mode", "vs-loss", "--m", 10], [protocols.EIGHT_DB_NOTE]),
+    (["rms-curve", "--m-min", 10, "--m-max", 20], []),
+], ids=["vs-M", "vs-loss", "rms-curve"])
+def test_ratio_curve_manifest_notes_squeezing_cap(tmp_path, capsys, args, notes):
+    # The command's own notes come first, then the cap note the closed forms warned.
+    out = tmp_path / "curve.csv"
+    assert run(args + ["--total-photons", 1e5, "--out", out]) == 0
+    assert manifest(out)["notes"] == notes + [protocols.SQUEEZING_CAP_NOTE]
+    assert warning_lines(capsys) == [f"warning: {protocols.SQUEEZING_CAP_NOTE}"]
 
 
 def test_ratio_curve_vs_loss(tmp_path):
@@ -384,23 +394,38 @@ def test_phase_exits_1_above_the_phase_bound(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path):
+def test_monte_carlo_manifest_notes_squeezing_cap(tmp_path, capsys):
     cfg = tmp_path / "cap.cfg"
     cfg.write_text("seed = 3\ntrials = 20000\n[case]\nM = 2\nN_S = 2.0\n"
                    "[case]\nM = 2\nN_S = 20000\n")
     out = tmp_path / "mc.csv"
-    with pytest.warns(UserWarning, match="40 dB"):
-        assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
+    assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
     assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]
+    assert warning_lines(capsys) == [f"warning: {protocols.SQUEEZING_CAP_NOTE}"]
 
 
-def test_phase_manifest_notes_squeezing_cap(tmp_path):
+def test_phase_manifest_notes_squeezing_cap(tmp_path, capsys):
+    # Every point of the sweep warns, in the campaign and the exact stats: one note, one line.
     cfg = tmp_path / "cap.cfg"
-    cfg.write_text("M = 2\nN_S = 5e4\nN_v = 100\ndphi = 0.01\ntrials = 100\n")
+    cfg.write_text("M = 2\nN_S = 5e4\nN_v = 100\ndphi = 0.01 0.02\ntrials = 100\n")
     out = tmp_path / "phase.csv"
-    with pytest.warns(UserWarning, match="40 dB"):
-        assert run(["phase", "--config", cfg, "--out", out]) == 0
+    assert run(["phase", "--config", cfg, "--out", out]) == 0
     assert manifest(out)["notes"] == [protocols.SQUEEZING_CAP_NOTE]
+    assert warning_lines(capsys) == [f"warning: {protocols.SQUEEZING_CAP_NOTE}"]
+
+
+def test_runner_leaves_warning_filters_in_force(tmp_path, monkeypatch):
+    # Tier-1 turns RuntimeWarnings into errors; recording the run's warnings must not
+    # swallow that error, and a run that raised it writes nothing.
+    def overflowing(**_):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return cli.Result(["x"], [(1,)], None)
+
+    monkeypatch.setitem(cli.COMMANDS, "fisher", cli.COMMANDS["fisher"]._replace(run=overflowing))
+    out = tmp_path / "x.csv"
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        run(["fisher", "--out", out])
+    assert not out.exists()
 
 
 def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):

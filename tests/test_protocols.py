@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,7 +174,6 @@ def test_monte_carlo_agreement(scheme, m, n_s, eta):
     )
     report = pr.simulate_displacement_protocol(cfg)
     assert report.agreement_sigmas() < 4.0
-    assert report.estimator_offset == 0.0
     # Unbiasedness.
     assert abs(report.empirical_mean - 0.1) < 5.0 * report.analytic_rms / np.sqrt(cfg.trials)
 
@@ -333,15 +333,25 @@ def test_config_validation():
             pr.SensorNetworkConfig(2, 1.0, alpha_true=alpha)
 
 
-def test_scaling_exponent():
-    ms = [100, 1000, 10_000]
-    assert pr.scaling_exponent("entangled", 1.0, 1.0, ms) == pytest.approx(-1.0, abs=0.02)
-    assert pr.scaling_exponent("product", 1.0, 1.0, ms) == pytest.approx(-0.5, abs=0.02)
-    # Loss restores SQL scaling for the entangled scheme at large M.
-    lossy = pr.scaling_exponent("entangled", 0.95, 1.0, [10**4, 10**5, 10**6])
-    assert lossy == pytest.approx(-0.5, abs=0.02)
-    with pytest.raises(ValueError):
-        pr.scaling_exponent("entangled", 1.0, 1.0, [10, 20, 50])
+def test_lossy_entangled_scaling_is_sql():
+    # Loss restores SQL scaling for the entangled scheme at large M (one photon per node).
+    ms = np.array([1e4, 1e5, 1e6])
+    with pytest.warns(UserWarning, match="40 dB"):
+        rms = pr.entangled_rms_error(ms, ms, 0.95)
+    assert np.polyfit(np.log10(ms), np.log10(rms), 1)[0] == pytest.approx(-0.5, abs=0.02)
+
+
+def test_closed_forms_warn_past_the_squeezing_cap():
+    cap = pr.SQUEEZING_CAP_PHOTONS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr.sensitivity_ratio_db(4, cap, 0.9)  # at the cap: no warning
+    past = np.nextafter(cap, np.inf)
+    for closed_form in (pr.entangled_rms_error, pr.product_rms_error, pr.sensitivity_ratio_db):
+        with pytest.warns(UserWarning, match="40 dB"):
+            closed_form(4, np.array([1.0, past]), 0.9)
+    with pytest.warns(UserWarning, match="40 dB"):
+        pr.phase_rms_error(4, past, 100.0, 0.9)
 
 
 def test_phase_rms_error():
