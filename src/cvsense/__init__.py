@@ -19,8 +19,7 @@ if _threads:
 _EXPORTS = {
     "gaussian": (
         "GaussianState", "LossChannel", "SymplecticTransform", "apply_loss", "apply_symplectic",
-        "balanced_splitter", "coherent_state", "displace_all", "squeezed_vacuum", "tensor",
-        "vacuum_state",
+        "balanced_splitter", "coherent_state", "squeezed_vacuum", "tensor", "vacuum_state",
     ),
     "protocols": (
         "EstimatorReport", "SensorNetworkConfig", "build_entangled_input", "build_product_input",

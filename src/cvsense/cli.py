@@ -258,7 +258,7 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
         for m in node_counts:
             ratios = protocols.sensitivity_ratio_db(m, total_photons, loss_etas)
             rows += [(float(db), float(r), m, total_photons) for db, r in zip(loss_grid, ratios)]
-    return Result(header, rows, None, protocols.known_discrepancies())
+    return Result(header, rows, None, (protocols.EIGHT_DB_NOTE,))
 
 
 _MC_SCALARS = {"seed": _seed, "trials": int}
@@ -304,7 +304,7 @@ def cmd_monte_carlo(config_path, seed, trials):
         status = "PASS" if sigmas < 4.0 else "FAIL"
         all_pass &= status == "PASS"
         rows.append((
-            index, report.scheme, cfg.num_nodes, cfg.total_photons,
+            index, cfg.scheme, cfg.num_nodes, cfg.total_photons,
             _fmt_vector(cfg.eta[:1] if np.all(cfg.eta == cfg.eta[0]) else cfg.eta),
             cfg.alpha_true, report.trials, report.empirical_mean, report.empirical_rms_error,
             report.rms_standard_error, report.analytic_rms, sigmas, status,
@@ -404,6 +404,8 @@ def cmd_phase(config_path, seed, trials):
     eta = scalars.get("eta", 1.0)
     run_trials = trials if trials is not None else scalars.get("trials", 100_000)
     run_seed = seed if seed is not None else scalars.get("seed", 0)
+    if not dphis:
+        raise ValueError("dphi lists no phase shift")
     rows = []
     for index, dphi in enumerate(dphis):
         report = protocols.simulate_phase_protocol(

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import noise_kernel
+from .allocation import _check_etas, noise_kernel
 from .gaussian import GaussianState
 from .protocols import product_rms_error
 
 PURITY_CLAMP = 1e-12
-DEFAULT_EPSILONS = (1e-2, 5e-3, 2.5e-3)
+EPSILONS = (1e-2, 5e-3, 2.5e-3)
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,10 @@ class SqueezedThermalParams:
         )
 
 
-def _check_transmissivity(eta):
-    if not (0.0 < eta <= 1.0):  # nan fails this too
-        raise ValueError("transmissivity must lie in (0, 1]")
-
-
-def lossy_state(params, eta, displacement=0.0):
-    """State after a transmissivity-eta channel and an x-displacement."""
-    _check_transmissivity(eta)
-    mean = np.sqrt(eta) * params.mean + np.array([displacement, 0.0])
+def lossy_state(params, eta):
+    """State after a transmissivity-eta channel."""
+    _check_etas(eta)
+    mean = np.sqrt(eta) * params.mean
     cov = eta * params.covariance() + (1.0 - eta) * np.eye(2) / 4.0
     return GaussianState(mean, cov)
 
@@ -110,31 +105,26 @@ def _richardson(values, steps):
     return table[0]
 
 
-def fisher_numeric(params, eta, epsilons=DEFAULT_EPSILONS, displacement=0.0):
+def fisher_numeric(params, eta):
     """Fisher information from the fidelity decay, lim 8(1 - sqrt F)/eps^2.
 
-    Evaluated through gaussian_fidelity at each epsilon and Richardson
+    Evaluated through gaussian_fidelity at each of EPSILONS and Richardson
     extrapolated; small steps are avoided because the quotient cancels
     catastrophically below ~1e-5 in double precision.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    if np.any(eps <= 1e-6) or np.any(eps >= 1e-1):
-        raise ValueError("epsilon values must lie in (1e-6, 1e-1)")
-    base = lossy_state(params, eta, displacement)
-    # The shifted states share base's validated covariance; each mean is
-    # lossy_state's sqrt(eta) mean + [displacement + e, 0] with the same
-    # arithmetic, so no state is built for them.
-    scaled_mean = np.sqrt(eta) * params.mean
+    base = lossy_state(params, eta)
+    # The shifted states share base's validated covariance and differ from its
+    # mean by [e, 0], so no state is built for them.
     quotients = []
-    for e in eps:
-        shifted = scaled_mean + np.array([displacement + e, 0.0])
+    for e in EPSILONS:
+        shifted = base.mean + np.array([e, 0.0])
         fid = _fidelity(base.mean, base.cov, shifted, base.cov)
         quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
     diffs = np.diff(quotients)
     significant = np.abs(diffs) > 1e-9 * abs(quotients[0])
     if np.any((diffs[:-1] * diffs[1:] < 0) & significant[:-1] & significant[1:]):
         raise RuntimeError("fidelity quotient did not converge monotonically")
-    return _richardson(quotients, eps)
+    return _richardson(quotients, EPSILONS)
 
 
 def fisher_closed_form(params, eta):
@@ -142,7 +132,7 @@ def fisher_closed_form(params, eta):
 
     Independent of the mean (displacement covariance).
     """
-    _check_transmissivity(eta)
+    _check_etas(eta)
     r, n, theta = params.r, params.n, params.theta
     er = np.exp(r)
     nu = 2.0 * n + 1.0
@@ -159,7 +149,7 @@ def fisher_max(n_photons, eta):
     """
     if not (n_photons >= 0):  # nan fails this too
         raise ValueError("photon budget must be nonnegative")
-    _check_transmissivity(eta)
+    _check_etas(eta)
     value = 4.0 / noise_kernel(eta, n_photons)
     argmax = SqueezedThermalParams(r=float(np.arccosh(2.0 * n_photons + 1.0)))
     return float(value), argmax

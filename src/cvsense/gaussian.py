@@ -53,7 +53,7 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    num_modes: int = field(default=0)
+    num_modes: int = field(init=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -108,18 +108,14 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticTransform:
-    """Linear-optics/squeezing map: mean -> S mean + d, cov -> S cov S^T."""
+    """Linear-optics/squeezing map: mean -> S mean, cov -> S cov S^T."""
 
     matrix: np.ndarray
-    displacement: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        disp = np.asarray(self.displacement, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
             raise ValueError("transform matrix must be square with even dimension")
-        if disp.shape != (mat.shape[0],):
-            raise ValueError("displacement length does not match matrix dimension")
         m = mat.shape[0] // 2
         # S Omega S^T = P - P^T with P = S[:, :m] S[:, m:]^T; it must equal Omega.
         half = mat[:, :m] @ mat[:, m:].T
@@ -130,9 +126,7 @@ class SymplecticTransform:
         if not (np.abs(gap).max() <= SYMPLECTIC_TOL):  # nan fails this too
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "displacement", disp)
         self.matrix.setflags(write=False)
-        self.displacement.setflags(write=False)
 
     @property
     def num_modes(self):
@@ -249,7 +243,7 @@ def transform_from_mode_matrix(mode_matrix):
     s = np.zeros((2 * m, 2 * m))
     s[:m, :m] = o.T
     s[m:, m:] = o.T
-    return SymplecticTransform(s, np.zeros(2 * m))
+    return SymplecticTransform(s)
 
 
 def balanced_splitter(num_modes):
@@ -268,14 +262,7 @@ def passive_transform(unitary):
     """Symplectic matrix of a complex mode unitary U = X + iY (lossless optics)."""
     u = np.asarray(unitary, dtype=complex)
     x, y = u.real, u.imag
-    return SymplecticTransform(
-        np.block([[x, -y], [y, x]]), np.zeros(2 * u.shape[0])
-    )
-
-
-def displacement_transform(displacement):
-    d = np.asarray(displacement, dtype=float)
-    return SymplecticTransform(np.eye(d.size), d)
+    return SymplecticTransform(np.block([[x, -y], [y, x]]))
 
 
 # -- channels and measurements --------------------------------------------
@@ -285,28 +272,17 @@ def apply_symplectic(state, transform):
     if transform.num_modes != state.num_modes:
         raise ValueError("transform and state mode counts differ")
     s = transform.matrix
-    return GaussianState(s @ state.mean + transform.displacement, s @ state.cov @ s.T)
+    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
 
 
 def apply_loss(state, channel):
     """Pure loss: mean *= sqrt(eta), cov -> D cov D + (I - D^2)/4."""
-    if not isinstance(channel, LossChannel):
-        channel = LossChannel(np.asarray(channel, dtype=float))
     etas = channel.transmissivities
-    if etas.size == 1 and state.num_modes > 1:
-        etas = np.full(state.num_modes, etas[0])
     if etas.size != state.num_modes:
         raise ValueError("channel length does not match state mode count")
     d = np.concatenate([np.sqrt(etas), np.sqrt(etas)])
     cov = state.cov * np.outer(d, d) + np.diag((1.0 - d * d) / 4.0)
     return GaussianState(d * state.mean, cov)
-
-
-def displace_all(state, alpha):
-    """Shift every mode's x quadrature by the same real alpha."""
-    mean = state.mean.copy()
-    mean[: state.num_modes] += alpha
-    return GaussianState(mean, state.cov)
 
 
 def homodyne_plan(mean, a, top, unit):

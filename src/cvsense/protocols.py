@@ -99,11 +99,6 @@ def sensitivity_ratio_db(num_nodes, total_photons, eta):
     return 10.0 * np.log10(ratio**2)
 
 
-def known_discrepancies():
-    """Documented nonreproducibility disclosures, reported alongside sweeps."""
-    return [EIGHT_DB_NOTE]
-
-
 # -- input states ---------------------------------------------------------
 
 
@@ -124,10 +119,10 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
     return apply_symplectic(state, splitter)
 
 
-def build_product_input(num_nodes, total_photons, axis="x"):
-    """M-fold product of squeezed vacua with N/M photons each."""
+def build_product_input(num_nodes, total_photons):
+    """M-fold product of x-squeezed vacua with N/M photons each."""
     _check_nodes(num_nodes)
-    per_node = squeezed_vacuum(total_photons / num_nodes, axis)
+    per_node = squeezed_vacuum(total_photons / num_nodes)
     if num_nodes == 1:
         return per_node
     return tensor(*[per_node] * num_nodes)
@@ -172,7 +167,6 @@ class EstimatorReport:
     empirical_rms_error: float
     rms_standard_error: float
     analytic_rms: float
-    scheme: str
 
     def agreement_sigmas(self):
         return abs(self.empirical_rms_error - self.analytic_rms) / self.rms_standard_error
@@ -190,7 +184,7 @@ def _thread_count(chunks):
     return min(chunks, cpus)
 
 
-def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms, scheme):
+def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms):
     """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
 
     The measured quadratures have mean `mean` and covariance a I + (top - a) unit unit^T;
@@ -245,7 +239,6 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
         empirical_rms_error=rms,
         rms_standard_error=rms / np.sqrt(2.0 * trials),
         analytic_rms=analytic_rms,
-        scheme=scheme,
     )
 
 
@@ -321,7 +314,7 @@ def simulate_displacement_protocol(cfg):
         np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
         target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
         trials=cfg.trials, seed=cfg.seed,
-        analytic_rms=analytic_rms_for_scheme(cfg), scheme=cfg.scheme,
+        analytic_rms=analytic_rms_for_scheme(cfg),
     )
 
 
@@ -405,5 +398,4 @@ def simulate_phase_protocol(
     return _run_campaign(
         *marginal, target=dphi_true, trials=trials, seed=seed,
         analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
-        scheme="phase-entangled",
     )

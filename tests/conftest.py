@@ -29,4 +29,4 @@ def random_gaussian_state(rng, num_modes, max_squeeze=0.8, max_disp=0.5):
     ortho = np.linalg.qr(rng.standard_normal((num_modes, num_modes)))[0]
     state = gaussian.apply_symplectic(state, gaussian.transform_from_mode_matrix(ortho))
     disp = rng.uniform(-max_disp, max_disp, size=2 * num_modes)
-    return gaussian.apply_symplectic(state, gaussian.displacement_transform(disp))
+    return gaussian.GaussianState(state.mean + disp, state.cov)

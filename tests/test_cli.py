@@ -158,7 +158,7 @@ def test_monte_carlo_statistical_failure(tmp_path, configs_dir, monkeypatch):
     def rigged(cfg):
         return protocols.EstimatorReport(
             trials=cfg.trials, empirical_mean=0.0, empirical_rms_error=1.0,
-            rms_standard_error=1e-3, analytic_rms=0.5, scheme=cfg.scheme,
+            rms_standard_error=1e-3, analytic_rms=0.5,
         )
 
     monkeypatch.setattr(protocols, "simulate_displacement_protocol", rigged)
@@ -379,6 +379,15 @@ def test_monte_carlo_exits_1_above_the_sampler_bound(tmp_path, capsys):
     assert run(["monte-carlo", "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
     assert "case 1: N_S = 1e+21 exceeds the sampler bound" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_phase_with_no_phase_shift_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(SMALL_PHASE.replace("dphi = 0.01", "dphi ="))
+    out = tmp_path / "phase.csv"
+    assert run(["phase", "--config", cfg, "--out", out]) == 1
+    assert f"error: {cfg}: dphi lists no phase shift" in capsys.readouterr().err
     assert not out.exists()
 
 

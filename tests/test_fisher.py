@@ -63,12 +63,11 @@ def test_fisher_numeric_vacuum():
 def test_fisher_numeric_displacement_independent():
     p = fi.SqueezedThermalParams(r=1.0, n=0.2, theta=0.3)
     at_zero = fi.fisher_numeric(p, 0.9)
-    at_offset = fi.fisher_numeric(p, 0.9, displacement=0.7)
-    assert at_zero == pytest.approx(at_offset, abs=1e-8)
+    shifted = fi.SqueezedThermalParams(r=1.0, n=0.2, theta=0.3, mean=[0.7, 0.0])
+    assert at_zero == pytest.approx(fi.fisher_numeric(shifted, 0.9), abs=1e-8)
 
 
-@pytest.mark.parametrize("displacement", [0.0, 0.7])
-def test_fisher_numeric_equals_the_route_through_states(rng, displacement):
+def test_fisher_numeric_equals_the_route_through_states(rng):
     # fisher_numeric reads base's arrays instead of building a state per
     # shift; the states' arrays hold the same bits, so the value is equal.
     for _ in range(5):
@@ -77,21 +76,14 @@ def test_fisher_numeric_equals_the_route_through_states(rng, displacement):
             mean=rng.uniform(-0.5, 0.5, 2),
         )
         eta = rng.uniform(0.3, 1.0)
-        base = fi.lossy_state(params, eta, displacement)
+        base = fi.lossy_state(params, eta)
         quotients = []
-        for e in fi.DEFAULT_EPSILONS:
-            shifted = fi.lossy_state(params, eta, displacement + e)
-            fid = fi.gaussian_fidelity(base, g.GaussianState(shifted.mean, base.cov))
+        for e in fi.EPSILONS:
+            shifted = g.GaussianState(base.mean + np.array([e, 0.0]), base.cov)
+            fid = fi.gaussian_fidelity(base, shifted)
             quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
-        want = fi._richardson(quotients, fi.DEFAULT_EPSILONS)
-        assert fi.fisher_numeric(params, eta, displacement=displacement) == want
-
-
-def test_fisher_numeric_epsilon_guard():
-    with pytest.raises(ValueError):
-        fi.fisher_numeric(fi.SqueezedThermalParams(), 1.0, epsilons=(1e-7, 1e-3))
-    with pytest.raises(ValueError):
-        fi.fisher_numeric(fi.SqueezedThermalParams(), 1.0, epsilons=(0.5, 1e-3))
+        want = fi._richardson(quotients, fi.EPSILONS)
+        assert fi.fisher_numeric(params, eta) == want
 
 
 def test_fisher_closed_form_spot_values():
@@ -177,11 +169,11 @@ _SQUEEZED = fi.SqueezedThermalParams(r=1.0)
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: fi.fisher_closed_form(_SQUEEZED, np.nan), "transmissivity"),
-    (lambda: fi.lossy_state(_SQUEEZED, np.nan), "transmissivity"),
+    (lambda: fi.fisher_closed_form(_SQUEEZED, np.nan), "transmissivities"),
+    (lambda: fi.lossy_state(_SQUEEZED, np.nan), "transmissivities"),
     (lambda: fi.fisher_max(np.nan, 0.9), "photon budget"),
-    (lambda: fi.fisher_max(1.0, np.nan), "transmissivity"),
-    (lambda: fi.fisher_max(1.0, 0.0), "transmissivity"),
+    (lambda: fi.fisher_max(1.0, np.nan), "transmissivities"),
+    (lambda: fi.fisher_max(1.0, 0.0), "transmissivities"),
     (lambda: thermal_populations(np.nan, 5), "thermal occupation"),
 ], ids=["closed-form-eta", "lossy-state-eta", "max-budget", "max-eta", "max-eta-zero",
         "thermal-nbar"])

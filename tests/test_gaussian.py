@@ -101,13 +101,15 @@ def test_symplectic_invariant_random_transforms(rng):
 
 def test_apply_symplectic_examples():
     vac = g.vacuum_state(1)
-    ident = g.SymplecticTransform(np.eye(2), np.zeros(2))
+    ident = g.SymplecticTransform(np.eye(2))
     assert np.allclose(g.apply_symplectic(vac, ident).cov, vac.cov)
 
-    disp = g.displacement_transform(np.array([0.7, 0.0]))
-    coh = g.apply_symplectic(vac, disp)
-    assert np.allclose(coh.mean, [0.7, 0.0])
-    assert np.allclose(coh.cov, 0.25 * np.eye(2))
+    # A phase shift exp(i theta) rotates a coherent state's mean: mean -> S mean.
+    theta = 0.4
+    shift = g.passive_transform([[np.exp(1j * theta)]])
+    rotated = g.apply_symplectic(g.coherent_state(0.7), shift)
+    assert np.allclose(rotated.mean, [0.7 * np.cos(theta), 0.7 * np.sin(theta)])
+    assert np.allclose(rotated.cov, 0.25 * np.eye(2))
 
     s = g.squeezed_vacuum(1.0, "x")
     state = g.tensor(s, g.vacuum_state(1))
@@ -167,22 +169,6 @@ def test_photon_number_bookkeeping():
 
     lossy = g.apply_loss(state, g.LossChannel(np.full(4, 0.6)))
     assert lossy.mean_photon_number() == pytest.approx(0.6 * before, abs=1e-12)
-
-
-def test_displace_all_and_ordering():
-    vac = g.vacuum_state(2)
-    assert np.allclose(g.displace_all(vac, 0.0).mean, vac.mean)
-    out = g.displace_all(vac, 0.3)
-    assert np.allclose(out.mean, [0.3, 0.3, 0.0, 0.0])
-    assert np.allclose(out.cov, vac.cov)
-
-    # Loss-then-displace leaves the displacement unattenuated.
-    coh = g.apply_symplectic(g.vacuum_state(1), g.displacement_transform(np.array([1.0, 0.0])))
-    eta = 0.49
-    loss_then_disp = g.displace_all(g.apply_loss(coh, g.LossChannel(np.array([eta]))), 0.3)
-    assert loss_then_disp.mean[0] == pytest.approx(np.sqrt(eta) * 1.0 + 0.3)
-    disp_then_loss = g.apply_loss(g.displace_all(coh, 0.3), g.LossChannel(np.array([eta])))
-    assert disp_then_loss.mean[0] == pytest.approx(np.sqrt(eta) * 1.3)
 
 
 def _homodyne(mean, a, top, unit, num_samples, rng):
@@ -266,6 +252,12 @@ def test_state_validation():
         g.GaussianState(np.zeros(2), 0.1 * np.eye(2))  # below vacuum noise
 
 
+def test_state_takes_its_mode_count_from_the_mean():
+    assert g.GaussianState(np.zeros(4), 0.25 * np.eye(4)).num_modes == 2
+    with pytest.raises(TypeError):
+        g.GaussianState(np.zeros(4), 0.25 * np.eye(4), num_modes=5)
+
+
 @pytest.mark.parametrize("mean, cov", [
     (np.zeros(2), np.full((2, 2), np.nan)),
     (np.zeros(2), np.array([[0.25, np.nan], [np.nan, 0.25]])),
@@ -282,7 +274,7 @@ def test_state_rejects_non_finite_entries(mean, cov):
 def test_transform_rejects_nan_matrix():
     for mat in (np.full((4, 4), np.nan), np.where(np.eye(4) > 0, np.nan, 0.0)):
         with pytest.raises(ValueError, match="not symplectic"):
-            g.SymplecticTransform(mat, np.zeros(4))
+            g.SymplecticTransform(mat)
 
 
 @pytest.mark.parametrize("m", [2, 3, 17, 200])
@@ -387,4 +379,4 @@ def test_non_symplectic_matrices_rejected(rng):
                 _x_only_rotation(0.3),
                 splitter + 1e-8 * rng.standard_normal(splitter.shape)):
         with pytest.raises(ValueError, match="not symplectic"):
-            g.SymplecticTransform(mat, np.zeros(mat.shape[0]))
+            g.SymplecticTransform(mat)

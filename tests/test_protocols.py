@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,26 @@ import pytest
 from cvsense import cli
 from cvsense import gaussian as g
 from cvsense import protocols as pr
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs_and_matches_its_quoted_values():
+    block = README.read_text().split("Quick start:", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    quoted = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = comment.split()[0] if code.strip() and comment else None
+        if value:
+            # Each value is quoted to within one unit of its last digit.
+            digits = len(value.partition(".")[2])
+            got = eval(code, namespace)
+            assert abs(got - float(value)) < 10.0**-digits, (code.strip(), got, value)
+            quoted.append(value)
+    assert quoted == ["0.038961", "0.065303", "4.486"]
 
 
 def test_entangled_rms_values():
@@ -422,19 +443,21 @@ def test_phase_checks_nodes_and_drive_before_building(monkeypatch, m, n_v, messa
 
 
 def test_phase_network_refuses_photons_above_the_phase_bound(monkeypatch):
-    pr.phase_exact_stats(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)
+    # The bound lies past 40 dB of squeezing: the rms domain check warns first.
+    with pytest.warns(UserWarning, match="40 dB"):
+        pr.phase_exact_stats(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)
     pr.build_phase_network_state(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)  # dense reference
     monkeypatch.setattr(pr, "build_entangled_input", lambda *args, **kw: pytest.fail("built"))
     for n_s in (np.nextafter(pr.PHASE_MAX_PHOTONS, np.inf), 1e300):
-        with pytest.raises(ValueError, match="phase bound"):
-            pr.phase_exact_stats(4, n_s, 100.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match="phase bound"):
-            pr.simulate_phase_protocol(4, n_s, 100.0, 1.0, 0.1, 100, seed=0)
+        with pytest.warns(UserWarning, match="40 dB"):
+            with pytest.raises(ValueError, match="phase bound"):
+                pr.phase_exact_stats(4, n_s, 100.0, 1.0, 0.1)
+            with pytest.raises(ValueError, match="phase bound"):
+                pr.simulate_phase_protocol(4, n_s, 100.0, 1.0, 0.1, 100, seed=0)
 
 
 def test_known_discrepancy_note():
-    notes = pr.known_discrepancies()
-    assert any("8 dB" in note for note in notes)
+    assert "8 dB" in pr.EIGHT_DB_NOTE
 
 
 def test_dense_route_with_a_tiny_last_weight():
@@ -486,9 +509,9 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
             alpha_true=rng.uniform(-1.0, 1.0))
         mean, a, top, unit = _campaign_inputs(
             monkeypatch, lambda: pr.simulate_displacement_protocol(cfg))
-        dense = g.displace_all(
-            g.apply_loss(pr._build_input_for_config(cfg), g.LossChannel(cfg.eta)), cfg.alpha_true)
-        np.testing.assert_allclose(mean, dense.mean_block("x"), rtol=0.0, atol=1e-12)
+        dense = g.apply_loss(pr._build_input_for_config(cfg), g.LossChannel(cfg.eta))
+        np.testing.assert_allclose(mean, dense.mean_block("x") + cfg.alpha_true,
+                                   rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(a * np.eye(m) + (top - a) * np.outer(unit, unit),
                                    dense.cov_block("x"), rtol=0.0, atol=1e-12)
         if cfg.scheme == "product":  # bit for bit, so product draws match the dense route's
