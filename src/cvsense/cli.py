@@ -285,7 +285,8 @@ def cmd_monte_carlo(config_path, seed, trials):
     rows = []
     all_pass = True
     for index, case in enumerate(cases):
-        case_trials = trials if trials is not None else case.get("trials", scalars.get("trials", 0))
+        case_trials = trials if trials is not None else case.get(
+            "trials", scalars.get("trials", protocols.DEFAULT_TRIALS))
         try:
             cfg = protocols.SensorNetworkConfig(
                 num_nodes=case["M"],
@@ -402,7 +403,7 @@ def cmd_phase(config_path, seed, trials):
     scalars, _ = parse_config(config_path, _PHASE_SCALARS)
     m, n_s, n_v, dphis = scalars["M"], scalars["N_S"], scalars["N_v"], scalars["dphi"]
     eta = scalars.get("eta", 1.0)
-    run_trials = trials if trials is not None else scalars.get("trials", 100_000)
+    run_trials = trials if trials is not None else scalars.get("trials", protocols.DEFAULT_TRIALS)
     run_seed = seed if seed is not None else scalars.get("seed", 0)
     if not dphis:
         raise ValueError("dphi lists no phase shift")

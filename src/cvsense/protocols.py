@@ -33,6 +33,7 @@ from .gaussian import (
 )
 
 PHASE_LINEARIZATION_GUARD = 0.3
+DEFAULT_TRIALS = 100_000  # per campaign, when neither the caller nor a config sets it
 SQUEEZING_CAP_PHOTONS = 1e4
 SQUEEZING_CAP_NOTE = (
     "requested squeezing exceeds 40 dB (mean photon number > 1e4 in one "
@@ -142,7 +143,7 @@ class SensorNetworkConfig:
     scheme: str = "entangled"
     alpha_true: float = 0.0
     seed: int | tuple = 0  # SeedSequence entropy: an int or a tuple of ints
-    trials: int = 100_000
+    trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
         if self.scheme not in ("entangled", "product"):

@@ -146,6 +146,17 @@ def test_monte_carlo_bad_configs(tmp_path, configs_dir):
     assert run(["monte-carlo", "--config", zero, "--out", out]) == 1
 
 
+@pytest.mark.parametrize("command, config", [
+    ("monte-carlo", "[case]\nM = 2\nN_S = 1\n"),
+    ("phase", "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\n"),
+], ids=["monte-carlo", "phase"])
+def test_a_config_with_no_trials_runs_the_default_count(tmp_path, command, config):
+    cfg, out = tmp_path / "no_trials.cfg", tmp_path / "out.csv"
+    cfg.write_text(config)
+    assert run([command, "--config", cfg, "--out", out]) == 0
+    assert [r["trials"] for r in csv_rows(out)[1]] == [str(protocols.DEFAULT_TRIALS)] == ["100000"]
+
+
 def test_unknown_key_reports_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed = 1\n\nwhat = 2\n")

@@ -67,6 +67,15 @@ def test_first_lazy_name_loads_numpy_after_the_thread_override():
     assert run_python(code, CVSENSE_THREADS="3") == str(sorted((v, "3") for v in BLAS_VARS))
 
 
+def test_fock_oracle_loads_no_other_cvsense_module():
+    # The oracle checks its factor only for truncation, so it needs nothing from gaussian.
+    out = run_python(
+        "import sys, cvsense.fock\n"
+        "print(sorted(k for k in sys.modules if k.startswith('cvsense.')))"
+    )
+    assert out == "['cvsense.fock']"
+
+
 # The cvsense modules each command loads: none loads fock, and only fisher loads fisher.
 CAMPAIGN = ["allocation", "cli", "gaussian", "protocols"]
 COMMAND_MODULES = [
