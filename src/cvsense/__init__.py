@@ -19,12 +19,13 @@ if _threads:
 _EXPORTS = {
     "gaussian": (
         "GaussianState", "LossChannel", "SymplecticTransform", "apply_loss", "apply_symplectic",
-        "balanced_splitter", "coherent_state", "squeezed_vacuum", "tensor", "vacuum_state",
+        "balanced_splitter", "build_entangled_input", "build_product_input", "coherent_state",
+        "squeezed_vacuum", "tensor", "vacuum_state",
     ),
     "protocols": (
-        "EstimatorReport", "SensorNetworkConfig", "build_entangled_input", "build_product_input",
-        "entangled_rms_error", "phase_rms_error", "product_rms_error", "sensitivity_ratio_db",
-        "simulate_displacement_protocol", "simulate_phase_protocol",
+        "EstimatorReport", "SensorNetworkConfig", "entangled_rms_error", "phase_rms_error",
+        "product_rms_error", "sensitivity_ratio_db", "simulate_displacement_protocol",
+        "simulate_phase_protocol",
     ),
     "allocation": (
         "AllocationResult", "WeightedNetwork", "allocate_photons_product",

@@ -37,7 +37,7 @@ def _check_budget(total_photons):
         raise ValueError("photon budget must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedNetwork:
     """M nodes with estimator weights, per-node transmissivities and a photon budget.
 
@@ -89,6 +89,27 @@ def _inv_scale(n):
     and the reciprocal is squared, so it underflows gracefully rather than overflow."""
     n = np.asarray(n, dtype=float)
     return (1.0 / (np.sqrt(n + 1.0) + np.sqrt(n))) ** 2
+
+
+def squeeze_parameter(n_photons):
+    """r with sinh^2(r) = n_photons, so Var(x) = exp(-2r)/4 for squeeze-x."""
+    if not (n_photons >= 0):  # nan fails this too
+        raise ValueError("mean photon number must be nonnegative")
+    return float(np.arcsinh(np.sqrt(n_photons)))
+
+
+def squeezed_variances(n_photons, axis="x"):
+    """(Var x, Var p) of a squeezed vacuum with mean photon number n_photons.
+
+    axis selects which quadrature carries the reduced noise exp(-2r)/4 (not _inv_scale/4:
+    the Monte Carlo draws depend on these bits).
+    """
+    if axis not in ("x", "p"):
+        raise ValueError("axis must be 'x' or 'p'")
+    r = squeeze_parameter(n_photons)
+    lo = np.exp(-2.0 * r) / 4.0
+    hi = np.exp(2.0 * r) / 4.0
+    return (lo, hi) if axis == "x" else (hi, lo)
 
 
 def _inv_scale_deriv(n):

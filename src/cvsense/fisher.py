@@ -24,7 +24,7 @@ PURITY_CLAMP = 1e-12
 EPSILONS = (1e-2, 5e-3, 2.5e-3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqueezedThermalParams:
     """Rotated squeezed thermal state: squeeze r >= 0, thermal n >= 0, angle theta."""
 

@@ -23,7 +23,7 @@ TRACE_TOL = 1e-8
 TAIL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockOperator:
     """The operator X X^dag in the number basis, kept as its D x k factor X.
 

@@ -1,4 +1,4 @@
-"""Gaussian-state engine for multimode quadrature optics.
+"""Gaussian-state engine for multimode quadrature optics: the dense test oracle.
 
 Conventions: quadrature ordering is xxpp (all x's, then all p's), the
 symplectic form is Omega = [[0, I], [-I, 0]], and the vacuum covariance
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .allocation import _check_nodes, squeezed_variances
 
 SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
@@ -47,7 +49,7 @@ def psd_violation(herm, tol):
     return min_eig if not (min_eig >= -tol) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """M-mode Gaussian state: mean vector (length 2M) and covariance (2M x 2M)."""
 
@@ -106,7 +108,7 @@ class GaussianState:
         return float(np.trace(self.cov) + self.mean @ self.mean - self.num_modes / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticTransform:
     """Linear-optics/squeezing map: mean -> S mean, cov -> S cov S^T."""
 
@@ -133,7 +135,7 @@ class SymplecticTransform:
         return self.matrix.shape[0] // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossChannel:
     """Pure-loss channels with per-mode transmissivities in (0, 1]."""
 
@@ -154,26 +156,6 @@ def vacuum_state(num_modes):
     if num_modes < 1:
         raise ValueError("number of modes must be >= 1")
     return GaussianState(np.zeros(2 * num_modes), 0.25 * np.eye(2 * num_modes))
-
-
-def squeeze_parameter(n_photons):
-    """r with sinh^2(r) = n_photons, so Var(x) = exp(-2r)/4 for squeeze-x."""
-    if not (n_photons >= 0):  # nan fails this too
-        raise ValueError("mean photon number must be nonnegative")
-    return float(np.arcsinh(np.sqrt(n_photons)))
-
-
-def squeezed_variances(n_photons, axis="x"):
-    """(Var x, Var p) of a squeezed vacuum with mean photon number n_photons.
-
-    axis selects which quadrature carries the reduced noise exp(-2r)/4.
-    """
-    if axis not in ("x", "p"):
-        raise ValueError("axis must be 'x' or 'p'")
-    r = squeeze_parameter(n_photons)
-    lo = np.exp(-2.0 * r) / 4.0
-    hi = np.exp(2.0 * r) / 4.0
-    return (lo, hi) if axis == "x" else (hi, lo)
 
 
 def squeezed_vacuum(n_photons, axis="x"):
@@ -285,38 +267,60 @@ def apply_loss(state, channel):
     return GaussianState(d * state.mean, cov)
 
 
-def homodyne_plan(mean, a, top, unit):
-    """Check a homodyne marginal once and return what homodyne_samples draws from.
+# -- network states: the dense reference for the protocols' O(M) marginals --
 
-    The measured quadratures have mean `mean` (length M) and covariance
-    a I + (top - a) u u^T, the form of every pipeline marginal: variance top
-    along the unit vector u = `unit` (or zero) and a across it. The plan is
-    (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
+
+def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
+    """Squeezed vacuum split evenly over M modes (the entangled input).
+
+    splitter overrides the default balanced splitter; any orthogonal
+    completion with the same first row yields identical physics.
     """
-    unit = np.asarray(unit, dtype=float)
-    # nan fails every test here, and u . u is nan or inf when any entry of u is.
-    if not (0.0 <= a < np.inf and 0.0 <= top < np.inf and np.isfinite(unit @ unit)):
-        raise ValueError(f"quadrature covariance is not finite and PSD "
-                         f"(eigenvalues {a:.3e}, {top:.3e})")
-    return unit, np.sqrt(a), np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean])
+    _check_nodes(num_nodes)
+    # Squeezed vacuum in mode 0, vacuum elsewhere: one diagonal state, the
+    # covariance of tensor(squeezed_vacuum, vacuum_state(M - 1)).
+    cov = 0.25 * np.eye(2 * num_nodes)
+    cov[0, 0], cov[num_nodes, num_nodes] = squeezed_variances(total_photons, axis)
+    state = GaussianState(np.zeros(2 * num_nodes), cov)
+    if splitter is None:
+        splitter = balanced_splitter(num_nodes)
+    return apply_symplectic(state, splitter)
 
 
-def homodyne_samples(plan, rng, normals, out):
-    """Fill out, shape (n, M), with n joint homodyne outcomes of homodyne_plan's
-    marginal and return it.
+def build_product_input(num_nodes, total_photons):
+    """M-fold product of x-squeezed vacua with N/M photons each."""
+    _check_nodes(num_nodes)
+    per_node = squeezed_vacuum(total_photons / num_nodes)
+    if num_nodes == 1:
+        return per_node
+    return tensor(*[per_node] * num_nodes)
 
-    Normals z give x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M)
-    per trial. normals is caller-owned scratch of out's shape, overwritten, so a
-    caller that reuses both buffers allocates only O(n) per call; reproducible
-    given rng.
+
+def _mach_zehnder_unitary(dphi):
+    """Two-port MZ map: 50:50 in, phase exp(i dphi) on the signal-fed arm, 50:50 out."""
+    b = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return b @ np.diag([np.exp(1j * dphi), 1.0]) @ b
+
+
+def build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dphi):
+    """Exact 2M-mode Gaussian state at the interferometer outputs.
+
+    Modes 0..M-1 carry the entangled signal (squeezed in p), modes
+    M..2M-1 the coherent drives; loss eta acts on the signal outputs.
+    The state is pure along its anti-squeezed direction, so its uncertainty
+    check fails on round-off once eps N_S nears UNCERTAINTY_TOL, the earlier
+    the larger M (N_S = 10^6 at M = 200).
     """
-    unit, root_a, right = plan
-    rng.standard_normal(out=normals)
-    # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
-    left = np.empty((2, normals.shape[0]))
-    np.matmul(normals, unit, out=left[0])
-    left[1] = 1.0
-    np.matmul(left.T, right, out=out)
-    normals *= root_a
-    out += normals
-    return out
+    m = num_nodes
+    signal = build_entangled_input(m, total_photons, axis="p")
+    drives = [coherent_state(np.sqrt(ancilla_photons)) for _ in range(m)]
+    state = tensor(signal, *drives)
+
+    u = np.eye(2 * m, dtype=complex)
+    block = _mach_zehnder_unitary(dphi)
+    for k in range(m):
+        idx = [k, m + k]
+        u[np.ix_(idx, idx)] = block
+    state = apply_symplectic(state, passive_transform(u))
+    etas = np.concatenate([np.full(m, eta), np.ones(m)])
+    return apply_loss(state, LossChannel(etas))

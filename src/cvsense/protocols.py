@@ -2,8 +2,8 @@
 
 Closed-form rms errors for the entangled (shared squeezed vacuum split
 over M nodes) and product (per-node squeezed vacuum) schemes, Monte
-Carlo estimation campaigns over the pipeline's exact marginals in O(M)
-form, and the Mach-Zehnder phase-sensing network.
+Carlo estimation campaigns that homodyne-sample the pipeline's exact
+marginals in O(M) form, and the Mach-Zehnder phase-sensing network.
 """
 
 from __future__ import annotations
@@ -16,21 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
-from .allocation import WeightedNetwork, noise_kernel, weighted_rms
+from .allocation import WeightedNetwork, noise_kernel, squeezed_variances, weighted_rms
 from .allocation import _check_budget, _check_etas, _check_nodes
-from .gaussian import (
-    GaussianState,
-    LossChannel,
-    apply_loss,
-    apply_symplectic,
-    balanced_splitter,
-    coherent_state,
-    squeezed_vacuum,
-    squeezed_variances,
-    tensor,
-    unbalanced_splitter,
-)
 
 PHASE_LINEARIZATION_GUARD = 0.3
 DEFAULT_TRIALS = 100_000  # per campaign, when neither the caller nor a config sets it
@@ -50,21 +37,12 @@ EIGHT_DB_NOTE = (
 # numpy splits a SeedSequence word >= 2^32, so (2^32 + 1, 0) would draw (1, 1)'s stream.
 SEED_MAX = 2**32 - 1
 
-# Largest N_S the displacement campaign samples. Per-node float64 outcomes
-# resolve the squeezed variance e^{-2r}/4 ~ 1/(16 N_S) to N_S = 1e24 at
+# Largest N_S a campaign (displacement or phase) samples. Per-node float64
+# outcomes resolve the squeezed variance e^{-2r}/4 ~ 1/(16 N_S) to N_S = 1e24 at
 # M <= 1000; M = 7 fails at 1e28 and every M at 1e32. The bound keeps four
-# decades of margin below the largest N_S measured to pass.
+# decades of margin below the largest N_S measured to pass. Phase campaigns (a closed-form
+# marginal) met phase_exact_stats within 4 sigma up to it: M <= 1000, dphi <= 0.29, seeds 0-3.
 SAMPLER_MAX_PHOTONS = 1e20
-
-# Largest N_S the phase network is built at. Its anti-squeezed variance grows
-# like N_S, so the round-off in the state's uncertainty check grows like eps N_S
-# and passes gaussian.UNCERTAINTY_TOL. The campaigns and exact stats build one
-# two-mode pair, whose covariance does not depend on the drive M N_v: over eta in
-# {0.5, 1}, dphi in {0.005, 0.1, 0.29}, N_v in {1, 1e2, 1e4, 1e6} and M up to 1e5,
-# it first failed at N_S = 10^7.25 (dphi = 0.29), whatever eta, N_v and M. The
-# bound keeps two decades of margin below it, and one below the dense M-mode
-# reference, whose round-off grows with M (10^6 at M = 200).
-PHASE_MAX_PHOTONS = 1e5
 
 # Normals per Monte Carlo chunk: each campaign thread's two sample buffers
 # stay near 256 KB each, whatever the node count.
@@ -98,35 +76,6 @@ def sensitivity_ratio_db(num_nodes, total_photons, eta):
         num_nodes, total_photons, eta
     )
     return 10.0 * np.log10(ratio**2)
-
-
-# -- input states ---------------------------------------------------------
-
-
-def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
-    """Squeezed vacuum split evenly over M modes (the entangled input).
-
-    splitter overrides the default balanced splitter; any orthogonal
-    completion with the same first row yields identical physics.
-    """
-    _check_nodes(num_nodes)
-    # Squeezed vacuum in mode 0, vacuum elsewhere: one diagonal state, the
-    # covariance of tensor(squeezed_vacuum, vacuum_state(M - 1)).
-    cov = 0.25 * np.eye(2 * num_nodes)
-    cov[0, 0], cov[num_nodes, num_nodes] = squeezed_variances(total_photons, axis)
-    state = GaussianState(np.zeros(2 * num_nodes), cov)
-    if splitter is None:
-        splitter = balanced_splitter(num_nodes)
-    return apply_symplectic(state, splitter)
-
-
-def build_product_input(num_nodes, total_photons):
-    """M-fold product of x-squeezed vacua with N/M photons each."""
-    _check_nodes(num_nodes)
-    per_node = squeezed_vacuum(total_photons / num_nodes)
-    if num_nodes == 1:
-        return per_node
-    return tensor(*[per_node] * num_nodes)
 
 
 # -- Monte Carlo campaign -------------------------------------------------
@@ -185,6 +134,43 @@ def _thread_count(chunks):
     return min(chunks, cpus)
 
 
+def homodyne_plan(mean, a, top, unit):
+    """Check a homodyne marginal once and return what homodyne_samples draws from.
+
+    The measured quadratures have mean `mean` (length M) and covariance
+    a I + (top - a) u u^T, the form of every pipeline marginal: variance top
+    along the unit vector u = `unit` (or zero) and a across it. The plan is
+    (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
+    """
+    unit = np.asarray(unit, dtype=float)
+    # nan fails every test here, and u . u is nan or inf when any entry of u is.
+    if not (0.0 <= a < np.inf and 0.0 <= top < np.inf and np.isfinite(unit @ unit)):
+        raise ValueError(f"quadrature covariance is not finite and PSD "
+                         f"(eigenvalues {a:.3e}, {top:.3e})")
+    return unit, np.sqrt(a), np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean])
+
+
+def homodyne_samples(plan, rng, normals, out):
+    """Fill out, shape (n, M), with n joint homodyne outcomes of homodyne_plan's
+    marginal and return it.
+
+    Normals z give x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M)
+    per trial. normals is caller-owned scratch of out's shape, overwritten, so a
+    caller that reuses both buffers allocates only O(n) per call; reproducible
+    given rng.
+    """
+    unit, root_a, right = plan
+    rng.standard_normal(out=normals)
+    # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
+    left = np.empty((2, normals.shape[0]))
+    np.matmul(normals, unit, out=left[0])
+    left[1] = 1.0
+    np.matmul(left.T, right, out=out)
+    normals *= root_a
+    out += normals
+    return out
+
+
 def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms):
     """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
 
@@ -197,7 +183,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
     """
     if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
         raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
-    plan = gaussian.homodyne_plan(mean, a, top, unit)  # checked and formed once, not per chunk
+    plan = homodyne_plan(mean, a, top, unit)  # checked and formed once, not per chunk
     rows = min(trials, max(1, CHUNK_NORMALS // mean.size))
     chunks = -(-trials // rows)
     sums = np.empty((chunks, 2))  # per chunk: sum of estimates, sum of squares about target
@@ -214,7 +200,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
                     return
                 n = min(rows, trials - j * rows)
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-                block = gaussian.homodyne_samples(plan, rng, normals[:n], samples[:n])
+                block = homodyne_samples(plan, rng, normals[:n], samples[:n])
                 chunk = np.matmul(block, weights, out=est[:n])
                 sums[j, 0] = chunk.sum()
                 chunk -= target
@@ -253,10 +239,12 @@ def _splitter_row(cfg):
 
 
 def _build_input_for_config(cfg):
+    from . import gaussian  # the dense engine: loaded here, so that no campaign loads it
+
     if cfg.scheme == "product":
-        return build_product_input(cfg.num_nodes, cfg.total_photons)
-    splitter = unbalanced_splitter(_splitter_row(cfg))
-    return build_entangled_input(cfg.num_nodes, cfg.total_photons, splitter=splitter)
+        return gaussian.build_product_input(cfg.num_nodes, cfg.total_photons)
+    splitter = gaussian.unbalanced_splitter(_splitter_row(cfg))
+    return gaussian.build_entangled_input(cfg.num_nodes, cfg.total_photons, splitter=splitter)
 
 
 def _x_marginal(cfg):
@@ -284,9 +272,11 @@ def analytic_config_rms(cfg):
     """Estimator rms computed from the exact post-loss covariance.
 
     Matches the closed forms on uniform networks and serves as the
-    splitter-completion-invariance oracle.
+    splitter-completion-invariance oracle. It loads the dense engine when called.
     """
-    state = apply_loss(_build_input_for_config(cfg), LossChannel(cfg.eta))
+    from . import gaussian
+
+    state = gaussian.apply_loss(_build_input_for_config(cfg), gaussian.LossChannel(cfg.eta))
     cov_x = state.cov_block("x")
     return float(np.sqrt(cfg.weights @ cov_x @ cfg.weights))
 
@@ -299,16 +289,20 @@ def analytic_rms_for_scheme(cfg):
     return weighted_rms(cfg.weights, cfg.eta, photons)
 
 
+def _check_sampler_bound(total_photons):
+    if total_photons > SAMPLER_MAX_PHOTONS:
+        raise ValueError(
+            f"N_S = {total_photons:g} exceeds the sampler bound {SAMPLER_MAX_PHOTONS:g}: "
+            "float64 outcomes cannot resolve the squeezed variance"
+        )
+
+
 def simulate_displacement_protocol(cfg):
     """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times.
 
     Raises ValueError above SAMPLER_MAX_PHOTONS, before drawing anything.
     """
-    if cfg.total_photons > SAMPLER_MAX_PHOTONS:
-        raise ValueError(
-            f"N_S = {cfg.total_photons:g} exceeds the sampler bound {SAMPLER_MAX_PHOTONS:g}: "
-            "float64 outcomes cannot resolve the squeezed variance"
-        )
+    _check_sampler_bound(cfg.total_photons)
     if cfg.total_photons > SQUEEZING_CAP_PHOTONS:
         warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     return _run_campaign(
@@ -332,55 +326,33 @@ def phase_rms_error(num_nodes, total_photons, ancilla_photons, eta):
     )
 
 
-def _mach_zehnder_unitary(dphi):
-    """Two-port MZ map: 50:50 in, phase exp(i dphi) on the signal-fed arm, 50:50 out."""
-    b = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    return b @ np.diag([np.exp(1j * dphi), 1.0]) @ b
-
-
-def build_phase_network_state(num_nodes, total_photons, ancilla_photons, eta, dphi):
-    """Exact 2M-mode Gaussian state at the interferometer outputs.
-
-    Modes 0..M-1 carry the entangled signal (squeezed in p), modes
-    M..2M-1 the coherent drives; loss eta acts on the signal outputs.
-    Raises ValueError above PHASE_MAX_PHOTONS, before building anything.
-    """
-    if total_photons > PHASE_MAX_PHOTONS:
-        raise ValueError(
-            f"N_S = {total_photons:g} exceeds the phase bound {PHASE_MAX_PHOTONS:g}: "
-            "the dense network state's uncertainty check fails on round-off above it"
-        )
-    m = num_nodes
-    signal = build_entangled_input(m, total_photons, axis="p")
-    drives = [coherent_state(np.sqrt(ancilla_photons)) for _ in range(m)]
-    state = tensor(signal, *drives)
-
-    u = np.eye(2 * m, dtype=complex)
-    block = _mach_zehnder_unitary(dphi)
-    for k in range(m):
-        idx = [k, m + k]
-        u[np.ix_(idx, idx)] = block
-    state = apply_symplectic(state, gaussian.passive_transform(u))
-    etas = np.concatenate([np.full(m, eta), np.ones(m)])
-    return apply_loss(state, LossChannel(etas))
-
-
 def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
-    """(mean, a, top, unit, weights) of the M signal p outputs and the estimator, in O(M)."""
+    """(mean, a, top, unit, weights) of the M signal p outputs and the estimator, in O(M).
+
+    The M identical MZ pairs act alike on the collective modes: one pair, whose drive b holds
+    all M N_v photons, meets the squeezed mode a (Var p = V_p, Var x = V_x). Its signal output
+    c a + d b, with c = cos(dphi/2) e^{i dphi/2} and d = i sin(dphi/2) e^{i dphi/2}, has after
+    loss the p-mean sqrt(eta) Im(d) sqrt(M N_v) and the p-variance
+    top = eta [Im(c)^2 V_x + Re(c)^2 V_p + |d|^2/4] + (1 - eta)/4, spread along 1/sqrt(M).
+    Raises ValueError above SAMPLER_MAX_PHOTONS.
+    """
     phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain checks first
-    # The M identical MZ pairs act alike on the collective modes: one pair, whose drive holds
-    # all M N_v photons, meets the squeezed mode; its homodyned signal p lies along 1/sqrt(M).
-    pair = build_phase_network_state(1, total_photons, num_nodes * ancilla_photons, eta, dphi)
+    _check_sampler_bound(total_photons)
+    c = np.cos(0.5 * dphi) * np.exp(0.5j * dphi)
+    d = 1j * np.sin(0.5 * dphi) * np.exp(0.5j * dphi)
+    v_x, v_p = squeezed_variances(total_photons, "p")
+    top = eta * (c.imag**2 * v_x + c.real**2 * v_p + abs(d) ** 2 / 4.0) + (1.0 - eta) / 4.0
     u = np.full(num_nodes, 1.0 / np.sqrt(num_nodes))
     weights = np.full(num_nodes, 2.0 / (np.sqrt(eta * ancilla_photons) * num_nodes))
-    return pair.mean_block("p")[0] * u, 0.25, pair.cov_block("p")[0, 0], u, weights
+    return np.sqrt(eta) * d.imag * np.sqrt(num_nodes * ancilla_photons) * u, 0.25, top, u, weights
 
 
 def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
     """(estimator mean, estimator sd, rms about dphi) from the exact marginal, in O(M)."""
     mean, a, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
     est_mean = w @ mean
-    est_sd = np.sqrt(a * (w @ w) + (top - a) * (w @ unit) ** 2)
+    along = w @ unit  # w's part across unit is formed apart: a (w.w - along^2) would cancel
+    est_sd = np.sqrt(a * np.sum((w - along * unit) ** 2) + top * along**2)
     rms = np.sqrt(est_sd**2 + (est_mean - dphi) ** 2)
     return float(est_mean), float(est_sd), float(rms)
 

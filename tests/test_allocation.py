@@ -3,7 +3,6 @@ import pytest
 
 from cvsense import allocation as al
 from cvsense.fisher import fisher_max
-from cvsense import gaussian as g
 from cvsense import protocols as pr
 
 

@@ -403,14 +403,15 @@ def test_phase_with_no_phase_shift_exits_1(tmp_path, capsys):
 
 
 def test_phase_exits_1_above_the_phase_bound(tmp_path, capsys):
-    # M = 4 at 10^7 photons is physical, but its dense state fails the
-    # uncertainty check on round-off; the bound refuses it first.
+    # phase samples under the monte-carlo bound: float64 outcomes past it
+    # cannot resolve the squeezed variance.
     cfg = tmp_path / "bound.cfg"
-    cfg.write_text("M = 4\nN_S = 1e7\nN_v = 100\ndphi = 0.005\ntrials = 10\n")
+    cfg.write_text(f"M = 4\nN_S = {10 * protocols.SAMPLER_MAX_PHOTONS:g}\nN_v = 100\n"
+                   "dphi = 0.005\ntrials = 10\n")
     out = tmp_path / "phase.csv"
     assert run(["phase", "--config", cfg, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert "N_S = 1e+07 exceeds the phase bound" in err and "Traceback" not in err
+    assert "N_S = 1e+21 exceeds the sampler bound" in err and "Traceback" not in err
     assert not out.exists()
 
 

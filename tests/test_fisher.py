@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvsense import allocation as al
 from cvsense import fisher as fi
 from cvsense import gaussian as g
 from cvsense import protocols as pr
@@ -17,7 +18,7 @@ def test_params_validation_and_photons():
     assert np.allclose(vac.covariance(), 0.25 * np.eye(2))
     # r here is twice the engine squeeze parameter.
     n_s = 2.0
-    p = fi.SqueezedThermalParams(r=2.0 * g.squeeze_parameter(n_s))
+    p = fi.SqueezedThermalParams(r=2.0 * al.squeeze_parameter(n_s))
     assert p.mean_photon_number() == pytest.approx(n_s, abs=1e-12)
     assert np.allclose(p.covariance(), g.squeezed_vacuum(n_s).cov, atol=1e-14)
 

@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvsense import allocation as al
+from cvsense import fisher, fock
 from cvsense import gaussian as g
+from cvsense import protocols as pr
 
 from conftest import random_gaussian_state
 
@@ -174,8 +177,8 @@ def test_photon_number_bookkeeping():
 def _homodyne(mean, a, top, unit, num_samples, rng):
     """num_samples outcomes of N(mean, a I + (top - a) u u^T), in freshly allocated buffers."""
     out = np.empty((num_samples, np.size(mean)))
-    plan = g.homodyne_plan(np.asarray(mean, dtype=float), a, top, unit)
-    return g.homodyne_samples(plan, rng, np.empty_like(out), out)
+    plan = pr.homodyne_plan(np.asarray(mean, dtype=float), a, top, unit)
+    return pr.homodyne_samples(plan, rng, np.empty_like(out), out)
 
 
 def test_homodyne_sampling_statistics():
@@ -188,7 +191,7 @@ def test_homodyne_sampling_statistics():
 def test_homodyne_entangled_mean_variance():
     # The lossless 4-node entangled input: variance s along u = 1/2, 1/4 across it.
     rng = np.random.default_rng(7)
-    s = g.squeezed_variances(4.0)[0]
+    s = al.squeezed_variances(4.0)[0]
     draws = _homodyne(np.zeros(4), 0.25, s, np.full(4, 0.5), 1_000_000, rng)
     est = draws.mean(axis=1)
     target = 1.0 / (16.0 * (np.sqrt(5.0) + 2.0) ** 2)  # 3.4826e-3
@@ -226,8 +229,8 @@ def test_homodyne_reproducible():
     # Refilling the same buffers draws the stream's next outcomes.
     normals, out = np.empty((2, 2)), np.empty((2, 2))
     rng = np.random.default_rng(9)
-    first = g.homodyne_samples(g.homodyne_plan(*args), rng, normals, out).copy()
-    second = g.homodyne_samples(g.homodyne_plan(*args), rng, normals, out)
+    first = pr.homodyne_samples(pr.homodyne_plan(*args), rng, normals, out).copy()
+    second = pr.homodyne_samples(pr.homodyne_plan(*args), rng, normals, out)
     assert second is out
     both = _homodyne(*args, 4, np.random.default_rng(9))
     assert np.array_equal(np.vstack([first, second]), both)
@@ -242,7 +245,24 @@ def test_homodyne_reproducible():
 )
 def test_homodyne_rejects_non_physical_marginals(a, top, v):
     with pytest.raises(ValueError, match="not finite and PSD"):
-        g.homodyne_plan(np.zeros(3), a, top, v)
+        pr.homodyne_plan(np.zeros(3), a, top, v)
+
+
+# The frozen dataclasses that hold arrays compare and hash by identity: a generated
+# __eq__ over their arrays would raise instead of answering.
+@pytest.mark.parametrize("make", [
+    lambda: g.coherent_state(0.5),
+    lambda: g.SymplecticTransform(np.eye(2)),
+    lambda: g.LossChannel(np.array([0.5])),
+    lambda: fock.FockOperator(np.eye(3, 1)),
+    lambda: al.WeightedNetwork(2, None, 0.9, 1.0),
+    lambda: fisher.SqueezedThermalParams(r=0.5),
+], ids=["GaussianState", "SymplecticTransform", "LossChannel", "FockOperator",
+        "WeightedNetwork", "SqueezedThermalParams"])
+def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_state_validation():

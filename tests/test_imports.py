@@ -76,15 +76,16 @@ def test_fock_oracle_loads_no_other_cvsense_module():
     assert out == "['cvsense.fock']"
 
 
-# The cvsense modules each command loads: none loads fock, and only fisher loads fisher.
-CAMPAIGN = ["allocation", "cli", "gaussian", "protocols"]
+# The cvsense modules each command loads: none loads fock, and only fisher loads fisher
+# and the dense engine, gaussian.
+CAMPAIGN = ["allocation", "cli", "protocols"]
 COMMAND_MODULES = [
     (["rms-curve", "--photons-per-node", "1.0", "--m-min", "10", "--m-max", "100"], CAMPAIGN),
     (["ratio-curve", "--mode", "vs-M", "--total-photons", "10"], CAMPAIGN),
     (["ratio-curve", "--mode", "vs-loss", "--total-photons", "10"], CAMPAIGN),
     (["monte-carlo", "--config", "configs/fig1_check.cfg", "--trials", "100"], CAMPAIGN),
     (["weighted", "--config", "configs/weighted_m2.cfg"], ["allocation", "cli"]),
-    (["fisher", "--draws", "2", "--seed", "0"], sorted(CAMPAIGN + ["fisher"])),
+    (["fisher", "--draws", "2", "--seed", "0"], sorted(CAMPAIGN + ["fisher", "gaussian"])),
     (["phase", "--config", "configs/phase_sweep.cfg", "--trials", "100"], CAMPAIGN),
 ]
 

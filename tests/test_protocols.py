@@ -1,3 +1,4 @@
+import itertools
 import threading
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvsense import allocation as al
 from cvsense import cli
 from cvsense import gaussian as g
 from cvsense import protocols as pr
@@ -70,18 +72,18 @@ def test_sensitivity_ratio():
 
 def test_build_entangled_input():
     n_s = 1.0
-    single = pr.build_entangled_input(1, n_s)
+    single = g.build_entangled_input(1, n_s)
     assert np.allclose(single.cov, g.squeezed_vacuum(n_s).cov)
 
-    two = pr.build_entangled_input(2, n_s)
+    two = g.build_entangled_input(2, n_s)
     e2r = 1.0 / (np.sqrt(2.0) + 1.0) ** 2
     expected = np.array([[e2r + 1, e2r - 1], [e2r - 1, e2r + 1]]) / 8.0
     assert np.allclose(two.cov_block("x"), expected, atol=1e-14)
 
     for m in (3, 7):
-        state = pr.build_entangled_input(m, 5.0)
+        state = g.build_entangled_input(m, 5.0)
         var_b1 = state.cov_block("x").sum() / m
-        assert var_b1 == pytest.approx(np.exp(-2 * g.squeeze_parameter(5.0)) / 4, abs=1e-14)
+        assert var_b1 == pytest.approx(np.exp(-2 * al.squeeze_parameter(5.0)) / 4, abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])
@@ -91,7 +93,7 @@ def test_entangled_input_equals_the_tensor_route(m, axis, balanced):
     # One diagonal state in place of tensor(squeezed_vacuum, vacuum): the
     # same covariance bits, so the same state after the splitter.
     splitter = None if balanced else g.unbalanced_splitter(np.linspace(1.0, 2.0, m))
-    got = pr.build_entangled_input(m, 3.0, axis, splitter=splitter)
+    got = g.build_entangled_input(m, 3.0, axis, splitter=splitter)
     state = g.squeezed_vacuum(3.0, axis)
     if m > 1:
         state = g.tensor(state, g.vacuum_state(m - 1))
@@ -102,9 +104,9 @@ def test_entangled_input_equals_the_tensor_route(m, axis, balanced):
 
 def test_build_product_input():
     assert np.allclose(
-        pr.build_product_input(1, 2.0).cov, g.squeezed_vacuum(2.0).cov
+        g.build_product_input(1, 2.0).cov, g.squeezed_vacuum(2.0).cov
     )
-    state = pr.build_product_input(4, 4.0)
+    state = g.build_product_input(4, 4.0)
     assert np.allclose(np.diag(state.cov_block("x")), 1.0 / (4.0 * (np.sqrt(2) + 1) ** 2))
     off_diag = state.cov_block("x")[~np.eye(4, dtype=bool)]
     assert np.abs(off_diag).max() == 0.0
@@ -149,7 +151,7 @@ def test_splitter_completion_invariance():
         alternate[1:] = mix @ default[1:]
         splitter = g.transform_from_mode_matrix(alternate)
         state = g.apply_loss(
-            pr.build_entangled_input(m, n_s, splitter=splitter),
+            g.build_entangled_input(m, n_s, splitter=splitter),
             g.LossChannel(np.full(m, eta)),
         )
         w = np.full(m, 1.0 / m)
@@ -267,13 +269,13 @@ def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
     # One chunk of one row at M = 1 is one normal, seen by a spy on the sampler.
     monkeypatch.setattr(pr, "CHUNK_NORMALS", 1)
     seen = {}
-    real = g.homodyne_samples
+    real = pr.homodyne_samples
 
     def spy(plan, rng, normals, out):
         seen[rng.bit_generator.seed_seq.spawn_key] = rng.bit_generator.state
         return real(plan, rng, normals, out)
 
-    monkeypatch.setattr(g, "homodyne_samples", spy)
+    monkeypatch.setattr(pr, "homodyne_samples", spy)
     pr.simulate_displacement_protocol(pr.SensorNetworkConfig(1, 2.0, seed=(9, 4), trials=5))
     children = np.random.SeedSequence((9, 4)).spawn(5)
     assert seen == {(j,): np.random.PCG64(children[j]).state for j in range(5)}
@@ -282,7 +284,7 @@ def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
 def test_a_chunk_failing_in_a_helper_thread_stops_the_campaign(monkeypatch):
     monkeypatch.setattr(pr, "CHUNK_NORMALS", 3 * 100)
     monkeypatch.setattr(pr, "_thread_count", lambda chunks: min(chunks, 3))
-    real = g.homodyne_samples
+    real = pr.homodyne_samples
     raised = threading.Event()
 
     def failing(plan, rng, normals, out):
@@ -294,7 +296,7 @@ def test_a_chunk_failing_in_a_helper_thread_stops_the_campaign(monkeypatch):
             raise ValueError(f"chunk {chunk} failed")
         return real(plan, rng, normals, out)
 
-    monkeypatch.setattr(g, "homodyne_samples", failing)
+    monkeypatch.setattr(pr, "homodyne_samples", failing)
     before = threading.active_count()
     cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, seed=77, trials=10_000)  # 100 chunks
     with pytest.raises(ValueError, match="chunk [1-9][0-9]* failed"):
@@ -435,7 +437,7 @@ def test_phase_guard():
 def test_phase_checks_nodes_and_drive_before_building(monkeypatch, m, n_v, message):
     # Tier-1 turns RuntimeWarnings into errors, so a 1/sqrt(M) or sqrt(N_v) formed
     # before the checks would fail this too.
-    monkeypatch.setattr(pr, "build_phase_network_state", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(pr, "squeezed_variances", lambda *args: pytest.fail("built"))
     with pytest.raises(ValueError, match=message):
         pr.simulate_phase_protocol(m, 2.0, n_v, 0.9, 0.01, 10, seed=0)
     with pytest.raises(ValueError, match=message):
@@ -443,17 +445,42 @@ def test_phase_checks_nodes_and_drive_before_building(monkeypatch, m, n_v, messa
 
 
 def test_phase_network_refuses_photons_above_the_phase_bound(monkeypatch):
-    # The bound lies past 40 dB of squeezing: the rms domain check warns first.
+    # The sampler bound governs phase too. It lies past 40 dB of squeezing: the rms
+    # domain check warns first.
     with pytest.warns(UserWarning, match="40 dB"):
-        pr.phase_exact_stats(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)
-    pr.build_phase_network_state(4, pr.PHASE_MAX_PHOTONS, 100.0, 1.0, 0.1)  # dense reference
-    monkeypatch.setattr(pr, "build_entangled_input", lambda *args, **kw: pytest.fail("built"))
-    for n_s in (np.nextafter(pr.PHASE_MAX_PHOTONS, np.inf), 1e300):
+        pr.phase_exact_stats(4, pr.SAMPLER_MAX_PHOTONS, 100.0, 1.0, 0.1)
+    monkeypatch.setattr(pr, "squeezed_variances", lambda *args: pytest.fail("built"))
+    for n_s in (np.nextafter(pr.SAMPLER_MAX_PHOTONS, np.inf), 1e300):
         with pytest.warns(UserWarning, match="40 dB"):
-            with pytest.raises(ValueError, match="phase bound"):
+            with pytest.raises(ValueError, match="sampler bound"):
                 pr.phase_exact_stats(4, n_s, 100.0, 1.0, 0.1)
-            with pytest.raises(ValueError, match="phase bound"):
+            with pytest.raises(ValueError, match="sampler bound"):
                 pr.simulate_phase_protocol(4, n_s, 100.0, 1.0, 0.1, 100, seed=0)
+
+
+def test_phase_campaign_tracks_its_exact_stats_up_to_the_sampler_bound():
+    # At eta = 1 and dphi = 0 the squeezed variance ~ 1/(16 N_S) reaches the sampler as it
+    # is; at dphi != 0 the anti-squeezed leak ~ N_S dphi^2 dominates. Seeds 0-3, none chosen.
+    n_s = pr.SAMPLER_MAX_PHOTONS
+    for m, eta, dphi, seed in itertools.product((1, 2, 7, 1000), (0.9, 1.0), (0.0, 0.005, 0.29),
+                                                range(4)):
+        with pytest.warns(UserWarning, match="40 dB"):
+            report = pr.simulate_phase_protocol(m, n_s, 100.0, eta, dphi,
+                                                2_000 if m == 1000 else 20_000, seed=seed)
+            exact = pr.phase_exact_stats(m, n_s, 100.0, eta, dphi)[2]
+        assert abs(report.empirical_rms_error - exact) < 4.0 * report.rms_standard_error
+
+
+@pytest.mark.parametrize("m", [2, 1000])
+@pytest.mark.parametrize("n_s", [1e4, 1e5])
+def test_phase_exact_sd_does_not_cancel_at_high_squeezing(m, n_s):
+    # At eta = 1 and dphi = 0 the estimator (w parallel to u) sees only the variance
+    # along u; a |w|^2 + (top - a)(w.u)^2 would cancel a against a to ~eps/top.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 1e5 photons lies past the 40 dB cap
+        _, _, top, unit, w = pr._phase_marginal(m, n_s, 100.0, 1.0, 0.0)
+        sd = pr.phase_exact_stats(m, n_s, 100.0, 1.0, 0.0)[1]
+    assert sd == pytest.approx(np.sqrt(top) * abs(w @ unit), rel=1e-13, abs=0.0)
 
 
 def test_known_discrepancy_note():
@@ -516,13 +543,15 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
                                    dense.cov_block("x"), rtol=0.0, atol=1e-12)
         if cfg.scheme == "product":  # bit for bit, so product draws match the dense route's
             assert np.all(np.diag(dense.cov_block("x")) == a) and top == a
-    for _ in range(20):
-        m = int(rng.integers(1, 31))
-        args = (m, 10 ** rng.uniform(-1, 2), 10 ** rng.uniform(0, 3), rng.uniform(0.05, 1.0),
+    # (max M, N_S decades, N_v decades, eta range): then up to N_S = 1e4 and N_v = 1e6.
+    ranges = [(30, (-1, 2), (0, 3), (0.05, 1.0))] * 20 + [(40, (-2, 4), (0, 6), (0.2, 1.0))] * 20
+    for m_max, n_s, n_v, eta in ranges:
+        m = int(rng.integers(1, m_max + 1))
+        args = (m, 10 ** rng.uniform(*n_s), 10 ** rng.uniform(*n_v), rng.uniform(*eta),
                 rng.uniform(-0.29, 0.29))
         mean, a, top, unit = _campaign_inputs(
             monkeypatch, lambda: pr.simulate_phase_protocol(*args, trials=1, seed=0))
-        dense = pr.build_phase_network_state(*args)
+        dense = g.build_phase_network_state(*args)
         scale = max(1.0, np.abs(mean).max())  # the drive's mean grows like sqrt(N_v)
         np.testing.assert_allclose(mean, dense.mean_block("p")[:m], rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(a * np.eye(m) + (top - a) * np.outer(unit, unit),
@@ -550,12 +579,12 @@ def test_campaigns_build_no_dense_network_state(monkeypatch, tmp_path):
         cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, weights=weights, scheme=scheme, trials=10)
         pr.simulate_displacement_protocol(cfg)
     assert built == []
-    # Phase: one two-mode Mach-Zehnder pair stands for all M, whatever M.
+    # Phase: the Mach-Zehnder pair's p moments are closed forms, whatever M.
     pr.simulate_phase_protocol(30, 2.0, 100.0, 0.9, 0.01, 10, seed=0)
-    assert [name for name, _ in built].count("GaussianState") == 6
+    assert built == []
     # So do the exact stats, and the phase command end to end.
     pr.phase_exact_stats(30, 2.0, 100.0, 0.9, 0.01)
     config = tmp_path / "phase.cfg"
     config.write_text("M = 30\nN_S = 2\nN_v = 100\neta = 0.9\ndphi = 0.01, 0.1\ntrials = 10\n")
     assert cli.main(["phase", "--config", str(config), "--out", str(tmp_path / "p.csv")]) == 0
-    assert max(modes for _, modes in built) == 2
+    assert built == []
