@@ -9,6 +9,7 @@ weights is one water-filling.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 WEIGHT_SUM_TOL = 1e-12
 KKT_TOL = 1e-8
 MAX_BISECTIONS = 200
+TINY = sys.float_info.min  # the smallest normal float64
 
 
 # Each check takes a scalar or an array; nan fails it, as every comparison with nan is false.
@@ -135,6 +137,15 @@ def weighted_entangled_rms(net):
     return weighted_rms(net.weights, net.etas, net.total_photons)
 
 
+def _unit_scale(values):
+    """The power of two that puts the largest of values in [0.5, 1).
+
+    Multiplying an optimizer's gains by it is exact in float64, so its level search runs
+    on the same bits, only scaled, and the gains of nodes with tiny eta do not underflow.
+    """
+    return np.ldexp(1.0, -int(np.frexp(np.max(values))[1]))
+
+
 def _photons_at_level(gain, level):
     """Closed-form inverse of the stationarity condition -gain * kappa'(n) = level.
 
@@ -178,8 +189,8 @@ def _kkt_residual(marginals):
 def _in_float64_range(optimizer):
     """Raise RuntimeError where the optimizer would overflow, divide by zero or make a nan.
 
-    A budget past ~1e154 photons overflows N(N+1), and a node whose share is below the
-    smallest float64 (eta ~ 1e-300) puts log(0) in the search: no result is returned.
+    A budget past ~1e154 photons overflows N(N+1): no result is returned. (A node with
+    eta -> 0 is not refused: it takes its vacuum limit.)
     """
     @functools.wraps(optimizer)
     def checked(*args, **kwargs):
@@ -195,19 +206,24 @@ def _in_float64_range(optimizer):
 def allocate_photons_product(net):
     """Optimal photon split for the product scheme at fixed weights: every node with
     w_m^2 eta_m > 0 gets photons (its marginal diverges at zero), in closed form per level.
-    A zero budget leaves every node in vacuum."""
-    if net.total_photons == 0:
+    A zero budget leaves every node in vacuum, and so does one whose even split is below
+    the normal float64 range: kappa(n) is 1 to rounding for n below 1e-32."""
+    if net.total_photons / net.num_nodes < TINY:
         photons = np.zeros(net.num_nodes)
         return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), 0.0, 0)
     gain = net.weights**2 * net.etas  # coefficient of the N-dependent term
     active = gain > 0.0  # never empty: the weights sum to 1
     gain, budget = gain[active], net.total_photons
+    gain = gain * _unit_scale(gain)  # no underflow when every eta is tiny
     shares, iterations = _level_search(
         lambda n: -gain * _inv_scale_deriv(n),
         lambda level: np.minimum(_photons_at_level(gain, level), budget), budget, gain.size)
     shares *= budget / shares.sum()  # repair the slack: the budget holds exactly
-    positive = shares > 0  # a share that underflowed to zero has an infinite marginal
-    residual = _kkt_residual(-gain[positive] * _inv_scale_deriv(shares[positive]))
+    # A share below the normal float64 range (a node with eta or w near 0) has lost its
+    # relative precision, or underflowed to zero with an infinite marginal: the eta -> 0
+    # limit, about 0 photons. The KKT residual is taken over the resolved shares.
+    resolved = shares >= TINY
+    residual = _kkt_residual(-gain[resolved] * _inv_scale_deriv(shares[resolved]))
     photons = np.zeros(net.num_nodes)
     photons[active] = shares
     return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), residual,
@@ -227,13 +243,14 @@ def optimal_weights_entangled(etas, total_photons):
     return inv / inv.sum()
 
 
-def _fisher_marginal(etas, n):
+def _fisher_marginal(etas, n, scale=1.0):
     """F' = 4 eta kappa/(r c^2) of the node Fisher information F = 4/c (c = noise_kernel,
-    r = sqrt(n(n+1))) and d log F'/d log n = -(n/r) [2(1 - eta)/c + 1/(4r(r + n + 1/2))] < 0."""
+    r = sqrt(n(n+1))), times scale, and d log F'/d log n = -(n/r) [2(1 - eta)/c +
+    1/(4r(r + n + 1/2))] < 0. A power-of-two scale (_unit_scale) keeps F' of tiny etas in range."""
     root, kappa = np.sqrt(n * (n + 1.0)), _inv_scale(n)
     c = (1.0 - etas) + etas * kappa  # noise_kernel(etas, n), sharing kappa
     slope = -(n / root) * (2.0 * (1.0 - etas) / c + 0.25 / (root * (root + n + 0.5)))
-    return 4.0 * etas * kappa / (root * c**2), slope
+    return scale * 4.0 * etas * kappa / (root * c**2), slope
 
 
 @_in_float64_range
@@ -245,44 +262,55 @@ def optimal_weights_product(etas, total_photons):
     optimum maximizes the separable sum_m F_m(n_m) at sum_m n_m = N_S. Each F_m is
     strictly concave (d log F'/d log n < 0, see _fisher_marginal) with F'(0+) infinite,
     so it is one water-filling, F_m'(n_m) = level on every node, then w = F/sum F.
-    A zero budget leaves every node in vacuum, F_m = 4: uniform weights.
+    A zero budget leaves every node in vacuum, F_m = 4: uniform weights (as does one
+    whose even split is below the normal float64 range). A node whose F' is below the
+    level even at the smallest normal share (eta -> 0) takes 0 photons, F_m = 4: the
+    limit where it measures through vacuum noise alone.
     """
     etas = np.asarray(etas, dtype=float)
     _check_etas(etas)
     _check_budget(total_photons)
-    if total_photons == 0:
+    if total_photons / etas.size < TINY:
         weights, photons = np.full(etas.size, 1.0 / etas.size), np.zeros(etas.size)
         return weights, AllocationResult(photons, weighted_rms(weights, etas, photons), 0.0, 0)
-    at_budget = _fisher_marginal(etas, total_photons)[0]
+    scale = _unit_scale(etas)  # F' and the level carry it
+    at_budget = _fisher_marginal(etas, total_photons, scale)[0]
+    at_floor = _fisher_marginal(etas, TINY, scale)[0]
     x = slope = previous = None  # a Newton step from the previous level's roots seeds the next
 
     def node_photons(level):
         # F' = level is a quartic in kappa(n): Newton steps on log F' against log n, bisecting
         # [closed-form root of 4 eta (-kappa') = level <= F' (c <= 1), budget] when they leave it.
         nonlocal x, slope, previous
-        capped = level <= at_budget
-        lo, hi = np.log(_photons_at_level(4.0 * etas, level)), np.log(total_photons)
+        capped, floored = level <= at_budget, level > at_floor
+        lo = np.log(np.maximum(_photons_at_level(4.0 * scale * etas, level), TINY))
+        hi = np.log(total_photons)
         x = lo if x is None else np.clip(x + np.log(level / previous) / slope, lo, hi)
         previous = level
         for _ in range(MAX_BISECTIONS):
-            value, slope = _fisher_marginal(etas, np.exp(x))
+            value, slope = _fisher_marginal(etas, np.exp(x), scale)
             gap = np.log(value / level)  # > 0: n is below the root
             lo, hi = np.where(gap > 0, x, lo), np.where(gap > 0, hi, x)
             step = x - gap / slope
             # A converged root still takes its last step if that stays inside.
-            done = capped | (np.abs(gap) <= 1e-13)
+            done = capped | floored | (np.abs(gap) <= 1e-13)
             x = np.where((lo < step) & (step < hi), step, np.where(done, x, 0.5 * (lo + hi)))
             if done.all():
                 break
-        return np.where(capped, total_photons, np.exp(x))
+        return np.where(capped, total_photons, np.where(floored, 0.0, np.exp(x)))
 
     photons, iterations = _level_search(
-        lambda n: _fisher_marginal(etas, n)[0], node_photons, total_photons, etas.size)
+        lambda n: _fisher_marginal(etas, n, scale)[0], node_photons, total_photons, etas.size)
+    live = photons > 0.0  # a floored node keeps its 0 photons and is no KKT term
     # Spend the slack moving every log F' by one t, n_m += t n_m/slope_m: a uniform
     # rescale would pass a flat (eta ~ 1) node's level error on to the steep ones.
-    sensitivity = photons / _fisher_marginal(etas, photons)[1]
-    photons += sensitivity * (total_photons - photons.sum()) / sensitivity.sum()
+    # n/slope grows like n^3 at eta = 1: power-of-two scales (exact) keep it, and its
+    # product with the slack, in range.
+    sensitivity = photons[live] * _unit_scale(photons) / _fisher_marginal(etas[live],
+                                                                          photons[live])[1]
+    sensitivity *= _unit_scale(-sensitivity)
+    photons[live] += sensitivity * (total_photons - photons.sum()) / sensitivity.sum()
     fisher = 4.0 / noise_kernel(etas, photons)
-    residual = _kkt_residual(_fisher_marginal(etas, photons)[0])
+    residual = _kkt_residual(_fisher_marginal(etas[live], photons[live], scale)[0])
     return fisher / fisher.sum(), AllocationResult(
         photons, float(1.0 / np.sqrt(fisher.sum())), residual, iterations)

@@ -27,8 +27,32 @@ def symplectic_form(num_modes):
     return omega
 
 
+def _uncertainty_matrix(cov, m):
+    """T (cov + (i/4) Omega) T^H with T = diag(I, iI), in one fresh buffer.
+
+    For cov = [[X, C], [C^T, P]] this is [[X, I/4 - iC], [I/4 + iC^T, P]]: unitarily
+    similar to cov + (i/4) Omega, so it has the same eigenvalues, and real symmetric
+    when the x-p block C is zero, as in every network state (diagonal inputs, real
+    splitters, loss). Then it is a float64 matrix, half the bytes of a complex one.
+    """
+    cross = cov[:m, m:]
+    if cross.any():
+        herm = np.zeros((2 * m, 2 * m), dtype=complex)
+        herm.real[:m, :m] = cov[:m, :m]
+        herm.real[m:, m:] = cov[m:, m:]
+        np.negative(cross, out=herm.imag[:m, m:])
+        herm.imag[m:, :m] = cov[m:, :m]
+    else:
+        herm = cov.copy()
+    # The real part of either off-diagonal block is I/4 (C's entries are 0 here).
+    idx = np.arange(m)
+    herm.real[idx, idx + m] = herm.real[idx + m, idx] = 0.25
+    return herm
+
+
 def psd_violation(herm, tol):
-    """Minimum eigenvalue of the Hermitian matrix herm if it is below -tol, else None.
+    """Minimum eigenvalue of herm, real symmetric or complex Hermitian, if it is below
+    -tol, else None.
 
     A Cholesky factor of herm + tol I exists when every eigenvalue of herm
     exceeds -tol, which settles almost every call; eigvalsh runs only when
@@ -51,7 +75,12 @@ def psd_violation(herm, tol):
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """M-mode Gaussian state: mean vector (length 2M) and covariance (2M x 2M)."""
+    """M-mode Gaussian state: mean vector (length 2M) and covariance (2M x 2M).
+
+    Construction checks the uncertainty principle cov + (i/4) Omega >= 0 by a
+    Cholesky factorization: of a real symmetric matrix when the x-p block of cov
+    is zero, else of a complex Hermitian one (_uncertainty_matrix).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -74,13 +103,7 @@ class GaussianState:
         if not (np.isfinite(largest) and np.abs(cov - cov.T).max() <= SYMMETRY_RTOL * scale):
             raise ValueError("covariance matrix is not finite and symmetric")
         cov = 0.5 * (cov + cov.T)
-        # Uncertainty principle: cov + (i/4) Omega >= 0, checked in one buffer.
-        herm = np.zeros((2 * m, 2 * m), dtype=complex)
-        herm.real = cov
-        idx = np.arange(m)
-        herm.imag[idx, idx + m] = 0.25
-        herm.imag[idx + m, idx] = -0.25
-        min_eig = psd_violation(herm, UNCERTAINTY_TOL)
+        min_eig = psd_violation(_uncertainty_matrix(cov, m), UNCERTAINTY_TOL)
         if min_eig is not None:
             raise ValueError(
                 f"covariance violates the uncertainty principle (min eig {min_eig:.3e})"

@@ -349,10 +349,13 @@ def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
 
 def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
     """(estimator mean, estimator sd, rms about dphi) from the exact marginal, in O(M)."""
-    mean, a, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
+    mean, _, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
     est_mean = w @ mean
-    along = w @ unit  # w's part across unit is formed apart: a (w.w - along^2) would cancel
-    est_sd = np.sqrt(a * np.sum((w - along * unit) ** 2) + top * along**2)
+    # w and unit are both constant vectors, so w has no part across unit and only the
+    # variance top along it counts: a |w - (w.u)u|^2 would be round-off next to a top
+    # of ~1/(16 N_S), and a (w.w - (w.u)^2) would cancel outright.
+    along = w @ unit
+    est_sd = np.sqrt(top * along**2)
     rms = np.sqrt(est_sd**2 + (est_mean - dphi) ** 2)
     return float(est_mean), float(est_sd), float(rms)
 

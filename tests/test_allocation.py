@@ -220,22 +220,29 @@ def test_weighted_entangled_random_instances():
         assert pr.simulate_displacement_protocol(cfg).agreement_sigmas() < 4.0
 
 
+# An even split below the normal float64 range is the vacuum too: kappa(n) is 1 to
+# rounding for n below 1e-32.
+VACUUM_BUDGETS = (0.0, 5e-324, 3e-308)
+
+
 def test_allocation_at_zero_budget_is_the_vacuum():
     # No photons: every node is in vacuum, noise kernel 1 and node Fisher information 4.
-    net = al.WeightedNetwork(3, [0.5, 0.3, 0.2], [0.9, 0.4, 1.0], 0.0)
-    result = al.allocate_photons_product(net)
-    assert np.array_equal(result.photons, np.zeros(3))
-    assert result.objective == pytest.approx(0.5 * np.sqrt(0.25 + 0.09 + 0.04), rel=1e-15)
-    assert (result.kkt_residual, result.iterations) == (0.0, 0)
+    for n_s in VACUUM_BUDGETS:
+        net = al.WeightedNetwork(3, [0.5, 0.3, 0.2], [0.9, 0.4, 1.0], n_s)
+        result = al.allocate_photons_product(net)
+        assert np.array_equal(result.photons, np.zeros(3))
+        assert result.objective == pytest.approx(0.5 * np.sqrt(0.25 + 0.09 + 0.04), rel=1e-15)
+        assert (result.kkt_residual, result.iterations) == (0.0, 0)
 
 
 def test_optimal_weights_product_at_zero_budget_is_uniform():
     # Every node in vacuum has F_m = 4, so the optimal weights are uniform.
-    weights, joint = al.optimal_weights_product(np.array([0.9, 0.4, 1.0]), 0.0)
-    assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
-    assert np.array_equal(joint.photons, np.zeros(3))
-    assert joint.objective == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-15)
-    assert (joint.kkt_residual, joint.iterations) == (0.0, 0)
+    for n_s in VACUUM_BUDGETS:
+        weights, joint = al.optimal_weights_product(np.array([0.9, 0.4, 1.0]), n_s)
+        assert np.array_equal(weights, np.full(3, 1.0 / 3.0))
+        assert np.array_equal(joint.photons, np.zeros(3))
+        assert joint.objective == pytest.approx(1.0 / np.sqrt(12.0), rel=1e-15)
+        assert (joint.kkt_residual, joint.iterations) == (0.0, 0)
 
 
 def _check_allocation(net):
@@ -387,3 +394,32 @@ def test_allocation_with_an_underflowing_share():
 def test_optimal_weights_product_rejects_bad_budget(n_s):
     with pytest.raises(ValueError, match="photon budget"):
         al.optimal_weights_product(np.array([0.9, 0.3]), n_s)
+
+
+@pytest.mark.parametrize("etas, n_s", [
+    ((1e-300, 1.0), 10.0), ((1e-8, 1.0), 1e-300), ((0.5, 1e-12), 1e-300),
+    ((1e-300, 1e-300), 1e20), ((1e-12, 0.5), 1e20), ((0.3, 0.9), 1e150), ((1.0, 1.0), 1e150),
+])
+def test_optima_with_tiny_eta_or_extreme_budgets_meet_a_grid(etas, n_s):
+    # A node with eta -> 0 measures through vacuum noise alone: F -> 4, about 0 photons,
+    # weight proportional to 4. Both optimizers must answer, and match an M = 2 grid
+    # whose split fractions reach 1e-300 from either end.
+    etas = np.array(etas)
+    t = np.concatenate([np.linspace(0.0, 1.0, 20001), np.logspace(-300, -1, 600),
+                        1.0 - np.logspace(-17, -1, 600)])
+    kernels = al.noise_kernel(etas[0], t * n_s), al.noise_kernel(etas[1], (1 - t) * n_s)
+    weights, joint = al.optimal_weights_product(etas, n_s)
+    assert joint.objective == pytest.approx(1.0 / np.sqrt((4.0 / kernels[0] + 4.0 / kernels[1])
+                                                          .max()), rel=1e-12)
+    fisher = 4.0 / al.noise_kernel(etas, joint.photons)
+    assert np.allclose(weights, fisher / fisher.sum(), rtol=1e-15, atol=0.0)
+    fixed = al.allocate_photons_product(al.WeightedNetwork(2, None, etas, n_s))
+    assert fixed.objective == pytest.approx(0.25 * np.sqrt((kernels[0] + kernels[1]).min()),
+                                            rel=1e-12)
+    for result in (joint, fixed):
+        assert result.kkt_residual <= al.KKT_TOL
+        assert result.photons.sum() == pytest.approx(n_s, rel=1e-14)
+        for eta, photons, f in zip(etas, result.photons, fisher):
+            if eta <= 1e-8 < etas.max():  # the vacuum limit beside a live node
+                assert photons <= 1e-5 * n_s
+                assert f == pytest.approx(4.0, rel=1e-7)

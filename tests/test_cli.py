@@ -210,18 +210,27 @@ def test_weighted_default_weights_are_uniform(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("config", [
-    "N_S = 10\netas = 1 1e-300\n", "N_S = 1e300\netas = 0.9 0.3\n",
-    "N_S = 1e300\netas = 1 1\n", "N_S = 1e154\netas = 0.9 1\n", "N_S = 5e-324\netas = 0.9 1\n",
-], ids=["eta=1e-300", "N_S=1e300", "N_S=1e300-lossless", "N_S=1e154", "N_S=5e-324"])
-def test_weighted_writes_no_nan(tmp_path, capsys, config):
+@pytest.mark.parametrize("config, answers", [
+    pytest.param("N_S = 10\netas = 1 1e-300\n", True, id="eta=1e-300"),
+    pytest.param("N_S = 1e-300\netas = 1e-8 1\n", True, id="eta=1e-8-N_S=1e-300"),
+    pytest.param("N_S = 1e-300\netas = 0.5 1e-12\n", True, id="eta=1e-12-N_S=1e-300"),
+    pytest.param("N_S = 1e20\netas = 1e-300 1e-300\n", True, id="eta=1e-300-both-N_S=1e20"),
+    pytest.param("N_S = 1e300\netas = 0.9 0.3\n", False, id="N_S=1e300"),
+    pytest.param("N_S = 1e300\netas = 1 1\n", False, id="N_S=1e300-lossless"),
+    pytest.param("N_S = 1e154\netas = 0.9 1\n", False, id="N_S=1e154"),
+    pytest.param("N_S = 5e-324\netas = 0.9 1\n", False, id="N_S=5e-324"),
+])
+def test_weighted_writes_no_nan(tmp_path, capsys, config, answers):
     # These used to exit 0 with nan or inf in a row (N_S = 5e-324: exit 1 on a numpy
     # error). Tier-1 turns RuntimeWarnings into errors, so the guard must act before numpy warns.
+    # A node with eta -> 0 has a limit (F = 4, about 0 photons), so those configs must answer;
+    # past N_S ~ 1e154, N(N + 1) overflows and exit 3 is allowed.
     (tmp_path / "w.cfg").write_text(config)
     out = tmp_path / "w.csv"
     code = run(["weighted", "--config", tmp_path / "w.cfg", "--out", out])
     err = capsys.readouterr().err
-    if code == 0:
+    if code == 0 or answers:
+        assert code == 0, err
         assert "nan" not in csv_body(out) and "inf" not in csv_body(out)
     else:
         assert code == 3 and "float64 range" in err and "Traceback" not in err

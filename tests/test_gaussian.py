@@ -358,20 +358,95 @@ def test_psd_violation_leaves_its_argument_unchanged():
         assert np.array_equal(herm, before)
 
 
+def _complex_form_verdict(cov):
+    """(accepted, min eig) from eigvalsh of cov + (i/4) Omega itself, the reference."""
+    m = cov.shape[0] // 2
+    min_eig = np.linalg.eigvalsh(cov + 0.25j * g.symplectic_form(m)).min()
+    return min_eig >= -g.UNCERTAINTY_TOL, min_eig
+
+
+def _random_pure_cov(rng, m, correlated):
+    """Per-mode squeezing mixed by a real orthogonal (x-p block exactly 0) or a unitary."""
+    r = rng.uniform(-1.0, 1.0, m)
+    squeezed = np.diag(np.concatenate([np.exp(-2.0 * r), np.exp(2.0 * r)]) / 4.0)
+    if correlated:
+        s = g.passive_transform(_random_unitary(rng, m)).matrix
+    else:
+        s = g.transform_from_mode_matrix(np.linalg.qr(rng.standard_normal((m, m)))[0]).matrix
+    return s @ squeezed @ s.T
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["C=0", "C!=0"])
+@pytest.mark.parametrize("m", [1, 2, 5, 50])
+def test_uncertainty_check_matches_the_complex_form(monkeypatch, m, correlated):
+    # The check runs on a matrix unitarily similar to cov + (i/4) Omega: real when the
+    # x-p block C is zero. Its verdict and reported min eig must be the complex form's.
+    rng = np.random.default_rng([22, m, correlated])
+    dtypes = []
+    real_check = g.psd_violation
+    monkeypatch.setattr(g, "psd_violation",
+                        lambda herm, tol: dtypes.append(herm.dtype) or real_check(herm, tol))
+    tol = g.UNCERTAINTY_TOL
+    for _ in range(8):
+        pure = _random_pure_cov(rng, m, correlated)
+        assert (np.abs(pure[:m, m:]).max() > 0.0) == correlated
+        # Physical (pure, and with noise added), within tol of pure, past tol, unphysical.
+        shifts = [0.0, rng.uniform(1e-3, 1.0), -0.5 * tol, -2.0 * tol, -3.7e-6,
+                  -rng.uniform(0.01, 0.2)]
+        for cov in [pure + shift * np.eye(2 * m) for shift in shifts] + [0.5 * pure]:
+            accepted, min_eig = _complex_form_verdict(cov)
+            if accepted:
+                g.GaussianState(np.zeros(2 * m), cov)
+            else:
+                with pytest.raises(ValueError, match=f"\\(min eig {min_eig:.3e}\\)"):
+                    g.GaussianState(np.zeros(2 * m), cov)
+    assert set(dtypes) == {np.dtype(complex if correlated else float)}
+
+
+@pytest.mark.parametrize("scheme", ["entangled", "product"])
+def test_dense_oracle_states_have_a_zero_xp_block(monkeypatch, rng, scheme):
+    # So every state analytic_config_rms builds takes the real uncertainty check.
+    built = []
+    real_post_init = g.GaussianState.__post_init__
+
+    def spy(state):
+        real_post_init(state)
+        built.append(state)
+
+    monkeypatch.setattr(g.GaussianState, "__post_init__", spy)
+    for m in (1, 2, 5, 50):
+        if scheme == "product":  # uniform networks only
+            cfg = pr.SensorNetworkConfig(m, rng.uniform(1.0, 20.0), eta=0.8, scheme=scheme,
+                                         trials=1)
+        else:
+            w = rng.uniform(0.1, 1.0, m)
+            cfg = pr.SensorNetworkConfig(m, rng.uniform(1.0, 20.0), eta=rng.uniform(0.3, 1.0, m),
+                                         weights=w / w.sum(), trials=1)
+        pr.analytic_config_rms(cfg)
+    assert len(built) >= 8
+    for state in built:
+        m = state.num_modes
+        assert np.all(state.cov[:m, m:] == 0.0) and np.all(state.cov[m:, :m] == 0.0)
+
+
 def test_state_check_peak_memory_is_bounded():
-    # Symmetrised covariance, one complex buffer for cov + (i/4) Omega and
-    # its Cholesky factor: 5x the covariance.  Building Omega, (i/4) Omega,
-    # the sum and a shifted copy instead peaks at 7x.
+    # Uncorrelated x and p: the symmetrised covariance, one real buffer for the check
+    # and its Cholesky factor, 3x the covariance. Correlated: one complex buffer and
+    # its factor, 5x. Building Omega, (i/4) Omega, the sum and a shifted copy peaks at 7x.
     m = 200
     cov = _pure_network_cov(m)
+    phases = g.passive_transform(np.diag(np.exp(0.3j * np.arange(m)))).matrix
+    correlated = phases @ cov @ phases.T
+    assert np.abs(correlated[:m, m:]).max() > 0.0
     mean = np.zeros(2 * m)
-    tracemalloc.start()
-    try:
-        g.GaussianState(mean, cov)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.5 * cov.nbytes
+    for covariance, bound in ((cov, 3.5), (correlated, 5.5)):
+        tracemalloc.start()
+        try:
+            g.GaussianState(mean, covariance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * covariance.nbytes
 
 
 def _random_unitary(rng, m):

@@ -472,15 +472,16 @@ def test_phase_campaign_tracks_its_exact_stats_up_to_the_sampler_bound():
 
 
 @pytest.mark.parametrize("m", [2, 1000])
-@pytest.mark.parametrize("n_s", [1e4, 1e5])
+@pytest.mark.parametrize("n_s", [1e4, 1e5, 1e16, 1e20])
 def test_phase_exact_sd_does_not_cancel_at_high_squeezing(m, n_s):
-    # At eta = 1 and dphi = 0 the estimator (w parallel to u) sees only the variance
-    # along u; a |w|^2 + (top - a)(w.u)^2 would cancel a against a to ~eps/top.
+    # At eta = 1 and dphi = 0 the estimator (w parallel to u) sees only the variance top
+    # along u, with w.u = 2/sqrt(eta N_v M): a |w|^2 + (top - a)(w.u)^2 would cancel a
+    # against a, and a |w - (w.u)u|^2 would leave the rounding of w.u beside top ~ 1/(16 N_S).
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # 1e5 photons lies past the 40 dB cap
-        _, _, top, unit, w = pr._phase_marginal(m, n_s, 100.0, 1.0, 0.0)
+        warnings.simplefilter("ignore", UserWarning)  # past the 40 dB cap
+        top = pr._phase_marginal(m, n_s, 100.0, 1.0, 0.0)[2]
         sd = pr.phase_exact_stats(m, n_s, 100.0, 1.0, 0.0)[1]
-    assert sd == pytest.approx(np.sqrt(top) * abs(w @ unit), rel=1e-13, abs=0.0)
+    assert sd == pytest.approx(np.sqrt(top) * 2.0 / np.sqrt(100.0 * m), rel=1e-14, abs=0.0)
 
 
 def test_known_discrepancy_note():
