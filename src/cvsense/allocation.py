@@ -27,10 +27,11 @@ def _check_nodes(num_nodes):
 
 
 def _check_etas(etas):
-    # eta = 0 is excluded; model a dead node with weight 0 instead.
+    # eta = 0 is excluded (model a dead node with weight 0), and so is a subnormal eta,
+    # whose w^2 eta underflows.
     etas = np.asarray(etas, dtype=float)
-    if not np.all((etas > 0.0) & (etas <= 1.0)):
-        raise ValueError("transmissivities must lie in (0, 1]")
+    if not np.all((etas >= TINY) & (etas <= 1.0)):
+        raise ValueError(f"transmissivities must lie in [{TINY:.2g}, 1]")
 
 
 def _check_budget(total_photons):
@@ -93,24 +94,18 @@ def _inv_scale(n):
     return (1.0 / (np.sqrt(n + 1.0) + np.sqrt(n))) ** 2
 
 
-def squeeze_parameter(n_photons):
-    """r with sinh^2(r) = n_photons, so Var(x) = exp(-2r)/4 for squeeze-x."""
-    if not (n_photons >= 0):  # nan fails this too
-        raise ValueError("mean photon number must be nonnegative")
-    return float(np.arcsinh(np.sqrt(n_photons)))
-
-
 def squeezed_variances(n_photons, axis="x"):
     """(Var x, Var p) of a squeezed vacuum with mean photon number n_photons.
 
-    axis selects which quadrature carries the reduced noise exp(-2r)/4 (not _inv_scale/4:
-    the Monte Carlo draws depend on these bits).
+    axis selects the quadrature that carries the reduced noise _inv_scale(n)/4; the other
+    carries (sqrt(n+1)+sqrt(n))^2/4. Both are exact to a few ulp at every n, as no
+    difference of nearly equal numbers is formed.
     """
     if axis not in ("x", "p"):
         raise ValueError("axis must be 'x' or 'p'")
-    r = squeeze_parameter(n_photons)
-    lo = np.exp(-2.0 * r) / 4.0
-    hi = np.exp(2.0 * r) / 4.0
+    _check_budget(n_photons)
+    lo = _inv_scale(n_photons) / 4.0
+    hi = (np.sqrt(n_photons + 1.0) + np.sqrt(n_photons)) ** 2 / 4.0
     return (lo, hi) if axis == "x" else (hi, lo)
 
 
@@ -211,10 +206,12 @@ def allocate_photons_product(net):
     if net.total_photons / net.num_nodes < TINY:
         photons = np.zeros(net.num_nodes)
         return AllocationResult(photons, weighted_rms(net.weights, net.etas, photons), 0.0, 0)
-    gain = net.weights**2 * net.etas  # coefficient of the N-dependent term
+    # w^2 eta, the N-dependent term's coefficient, from eta scaled first (exact: a power
+    # of two) so that it is not subnormal when every eta is tiny.
+    gain = net.weights**2 * (net.etas * _unit_scale(net.etas))
     active = gain > 0.0  # never empty: the weights sum to 1
     gain, budget = gain[active], net.total_photons
-    gain = gain * _unit_scale(gain)  # no underflow when every eta is tiny
+    gain = gain * _unit_scale(gain)
     shares, iterations = _level_search(
         lambda n: -gain * _inv_scale_deriv(n),
         lambda level: np.minimum(_photons_at_level(gain, level), budget), budget, gain.size)

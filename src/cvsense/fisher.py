@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _check_etas, noise_kernel
+from .allocation import _check_budget, _check_etas, noise_kernel
 from .gaussian import GaussianState
 from .protocols import product_rms_error
 
@@ -147,8 +147,7 @@ def fisher_max(n_photons, eta):
     The optimum is an undisplaced, unrotated, zero-temperature squeezed
     state using the whole budget: r = arccosh(2N+1).
     """
-    if not (n_photons >= 0):  # nan fails this too
-        raise ValueError("photon budget must be nonnegative")
+    _check_budget(n_photons)
     _check_etas(eta)
     value = 4.0 / noise_kernel(eta, n_photons)
     argmax = SqueezedThermalParams(r=float(np.arccosh(2.0 * n_photons + 1.0)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import _check_nodes, squeezed_variances
+from .allocation import _check_etas, _check_nodes, squeezed_variances
 
 SYMMETRY_RTOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
@@ -160,14 +160,13 @@ class SymplecticTransform:
 
 @dataclass(frozen=True, eq=False)
 class LossChannel:
-    """Pure-loss channels with per-mode transmissivities in (0, 1]."""
+    """Pure-loss channels with per-mode transmissivities in [2.2e-308, 1]."""
 
     transmissivities: np.ndarray
 
     def __post_init__(self):
         etas = np.atleast_1d(np.asarray(self.transmissivities, dtype=float))
-        if not np.all((etas > 0.0) & (etas <= 1.0)):  # nan fails this too
-            raise ValueError("transmissivities must lie in (0, 1]")
+        _check_etas(etas)
         object.__setattr__(self, "transmissivities", etas)
         self.transmissivities.setflags(write=False)
 
@@ -176,15 +175,14 @@ class LossChannel:
 
 
 def vacuum_state(num_modes):
-    if num_modes < 1:
-        raise ValueError("number of modes must be >= 1")
+    _check_nodes(num_modes)
     return GaussianState(np.zeros(2 * num_modes), 0.25 * np.eye(2 * num_modes))
 
 
 def squeezed_vacuum(n_photons, axis="x"):
     """Single-mode squeezed vacuum with mean photon number n_photons.
 
-    axis selects which quadrature carries the reduced noise exp(-2r)/4.
+    axis selects which quadrature carries the reduced noise (squeezed_variances).
     """
     return GaussianState(np.zeros(2), np.diag(squeezed_variances(n_photons, axis)))
 
@@ -253,8 +251,7 @@ def transform_from_mode_matrix(mode_matrix):
 
 def balanced_splitter(num_modes):
     """M-port splitter distributing input mode 1 evenly, b_1 = sum_m a_m / sqrt(M)."""
-    if num_modes < 1:
-        raise ValueError("number of modes must be >= 1")
+    _check_nodes(num_modes)
     return transform_from_mode_matrix(complete_orthogonal(np.ones(num_modes)))
 
 

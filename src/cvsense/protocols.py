@@ -38,7 +38,7 @@ EIGHT_DB_NOTE = (
 SEED_MAX = 2**32 - 1
 
 # Largest N_S a campaign (displacement or phase) samples. Per-node float64
-# outcomes resolve the squeezed variance e^{-2r}/4 ~ 1/(16 N_S) to N_S = 1e24 at
+# outcomes resolve the squeezed variance kappa/4 ~ 1/(16 N_S) to N_S = 1e24 at
 # M <= 1000; M = 7 fails at 1e28 and every M at 1e32. The bound keeps four
 # decades of margin below the largest N_S measured to pass. Phase campaigns (a closed-form
 # marginal) met phase_exact_stats within 4 sigma up to it: M <= 1000, dphi <= 0.29, seeds 0-3.
@@ -71,11 +71,10 @@ def product_rms_error(num_nodes, total_photons, eta):
 
 
 def sensitivity_ratio_db(num_nodes, total_photons, eta):
-    """10 log10[(product rms / entangled rms)^2]."""
-    ratio = product_rms_error(num_nodes, total_photons, eta) / entangled_rms_error(
-        num_nodes, total_photons, eta
-    )
-    return 10.0 * np.log10(ratio**2)
+    """10 log10[(product rms / entangled rms)^2], the two noise kernels' ratio in dB."""
+    _check_domain(num_nodes, total_photons, eta)
+    per_node = np.asarray(total_photons, dtype=float) / num_nodes
+    return 10.0 * np.log10(noise_kernel(eta, per_node) / noise_kernel(eta, total_photons))
 
 
 # -- Monte Carlo campaign -------------------------------------------------
@@ -102,9 +101,9 @@ class SensorNetworkConfig:
         if not np.isfinite(self.alpha_true):
             raise ValueError("alpha_true must be finite")
         # The network checks the nodes, weights, etas and budget and fills in their defaults.
-        self._network = WeightedNetwork(self.num_nodes, self.weights, self.eta, self.total_photons)
-        self.eta, self.weights = self._network.etas, self._network.weights
-        if self.scheme == "product" and not self._network.uniform:
+        network = WeightedNetwork(self.num_nodes, self.weights, self.eta, self.total_photons)
+        self.eta, self.weights = network.etas, network.weights
+        if self.scheme == "product" and not network.uniform:
             raise ValueError("product-scheme simulation supports uniform networks only")
 
 
@@ -230,11 +229,8 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
 
 
 def _splitter_row(cfg):
-    """First row of the entangled input's splitter, unnormalized."""
-    if cfg._network.uniform:
-        return np.ones(cfg.num_nodes)  # balanced_splitter's first row
-    # Heterogeneous network: spread the squeezed mode with coefficients
-    # proportional to w_m sqrt(eta_m) so the estimator recovers it intact.
+    """First row of the entangled input's splitter, unnormalized: w_m sqrt(eta_m), so that
+    the estimator recovers the squeezed mode intact (balanced on a uniform network)."""
     return cfg.weights * np.sqrt(cfg.eta)
 
 
@@ -250,22 +246,20 @@ def _build_input_for_config(cfg):
 def _x_marginal(cfg):
     """(a, top, unit) of the post-loss x-covariance a I + (top - a) unit unit^T, in O(M).
 
-    The squeezed mode (x-variance s) spreads along the splitter's unit first row u,
-    I/4 + (s - 1/4) u u^T, and loss maps u to v = sqrt(eta) u (Weedbrook et al.,
-    RMP 84, 621 (2012)): variance 1/4 across v and s|v|^2 + (1 - |v|^2)/4 along it,
-    with 1 - |v|^2 = sum (1 - eta) u^2, exactly 0 at eta = 1. Product nodes are
-    independent: top = a.
+    Every variance is a noise kernel (allocation.noise_kernel) over 4. Product nodes are
+    independent, each squeezed with N_S/M photons: a = top = noise_kernel(eta, N_S/M)/4.
+    The entangled input spreads its squeezed mode along the splitter's unit first row u,
+    and loss maps u to v = sqrt(eta) u (Weedbrook et al., RMP 84, 621 (2012)): variance
+    1/4 across v and sum_m u_m^2 noise_kernel(eta_m, N_S)/4 along it.
     """
-    if cfg.scheme == "product":  # uniform; eta formed as apply_loss forms it, d * d
-        s, d = squeezed_variances(cfg.total_photons / cfg.num_nodes)[0], np.sqrt(cfg.eta[0])
-        a = s * (d * d) + (1.0 - d * d) / 4.0
+    if cfg.scheme == "product":  # a uniform network
+        a = 0.25 * noise_kernel(cfg.eta[0], cfg.total_photons / cfg.num_nodes)
         return a, a, np.zeros(cfg.num_nodes)
     u = _splitter_row(cfg)
     u = u / np.sqrt(u @ u)
     v = np.sqrt(cfg.eta) * u
-    norm2 = v @ v
-    top = squeezed_variances(cfg.total_photons)[0] * norm2 + 0.25 * ((1.0 - cfg.eta) @ (u * u))
-    return 0.25, top, v / np.sqrt(norm2)
+    top = 0.25 * ((u * u) @ noise_kernel(cfg.eta, cfg.total_photons))
+    return 0.25, top, v / np.sqrt(v @ v)
 
 
 def analytic_config_rms(cfg):

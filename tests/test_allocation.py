@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,39 @@ def test_noise_kernel_is_exact_without_loss():
     assert np.allclose(al.noise_kernel(1.0, n), kappa, rtol=1e-15, atol=0.0)
     c = np.sqrt(n * (n + 1.0)) * kappa  # F' = 4 kappa/(r c^2) with c = kappa
     assert np.allclose(al._fisher_marginal(1.0, n)[0] * c, 4.0, rtol=1e-15, atol=0.0)
+
+
+def test_squeezed_variances_are_exact_to_rounding():
+    # Against (sqrt(N+1) -+ sqrt(N))^2/4 to 50 digits: neither variance forms a difference
+    # of nearly equal numbers, so both stay within a few ulp at every budget.
+    rng = np.random.default_rng(np.random.SeedSequence(2023))
+    budgets = [0.0, 1e-300, 1e-8, 1.0, 1e4, 1e20, *10.0 ** rng.uniform(-8.0, 20.0, 2000)]
+    eps = decimal.Decimal(np.finfo(float).eps)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        for n in budgets:
+            root, root_next = decimal.Decimal(n).sqrt(), (decimal.Decimal(n) + 1).sqrt()
+            want = ((root_next - root) ** 2 / 4, (root_next + root) ** 2 / 4)
+            got = al.squeezed_variances(n, "x")
+            assert al.squeezed_variances(n, "p") == got[::-1]
+            for value, exact in zip(got, want):
+                assert abs(decimal.Decimal(float(value)) - exact) <= 4 * eps * exact, n
+
+
+@pytest.mark.parametrize("eta", [5e-324, 1e-310, np.nextafter(al.TINY, 0.0)])
+def test_network_refuses_a_subnormal_transmissivity(eta):
+    # w^2 eta would underflow; the smallest normal float64 itself is accepted.
+    with pytest.raises(ValueError, match=r"transmissivities must lie in \[2.2e-308, 1\]"):
+        al.WeightedNetwork(2, None, [eta, eta], 10.0)
+    al.WeightedNetwork(2, None, [al.TINY, al.TINY], 10.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 40])
+def test_allocation_at_the_smallest_normal_transmissivity(m):
+    # w^2 eta is subnormal for M >= 3 here; the gains are formed from eta scaled first,
+    # so the even split answers, with no overflow in the scale.
+    result = al.allocate_photons_product(uniform_net(m, 10.0, al.TINY))
+    np.testing.assert_allclose(result.photons, 10.0 / m, rtol=1e-12)
+    assert result.objective == pytest.approx(0.5 / np.sqrt(m), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_s", [1e4, 1e6])

@@ -215,6 +215,7 @@ def test_weighted_default_weights_are_uniform(tmp_path):
     pytest.param("N_S = 1e-300\netas = 1e-8 1\n", True, id="eta=1e-8-N_S=1e-300"),
     pytest.param("N_S = 1e-300\netas = 0.5 1e-12\n", True, id="eta=1e-12-N_S=1e-300"),
     pytest.param("N_S = 1e20\netas = 1e-300 1e-300\n", True, id="eta=1e-300-both-N_S=1e20"),
+    pytest.param("N_S = 10\netas = 2.3e-308 2.3e-308 2.3e-308\n", True, id="eta=2.3e-308-three"),
     pytest.param("N_S = 1e300\netas = 0.9 0.3\n", False, id="N_S=1e300"),
     pytest.param("N_S = 1e300\netas = 1 1\n", False, id="N_S=1e300-lossless"),
     pytest.param("N_S = 1e154\netas = 0.9 1\n", False, id="N_S=1e154"),
@@ -235,6 +236,17 @@ def test_weighted_writes_no_nan(tmp_path, capsys, config, answers):
     else:
         assert code == 3 and "float64 range" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("etas", ["5e-324 5e-324", "1e-310 1e-310"])
+def test_weighted_refuses_subnormal_transmissivities(tmp_path, capsys, etas):
+    # These used to exit 1 on a numpy error (5e-324) and 3 on an overflow (1e-310).
+    (tmp_path / "w.cfg").write_text(f"N_S = 10\netas = {etas}\n")
+    out = tmp_path / "w.csv"
+    assert run(["weighted", "--config", tmp_path / "w.cfg", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "transmissivities must lie in [2.2e-308, 1]" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config, target", [

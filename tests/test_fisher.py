@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cvsense import allocation as al
 from cvsense import fisher as fi
 from cvsense import gaussian as g
 from cvsense import protocols as pr
@@ -16,9 +15,10 @@ def test_params_validation_and_photons():
     vac = fi.SqueezedThermalParams()
     assert vac.mean_photon_number() == pytest.approx(0.0)
     assert np.allclose(vac.covariance(), 0.25 * np.eye(2))
-    # r here is twice the engine squeeze parameter.
+    # r here is twice the engine squeeze parameter arcsinh(sqrt(n)), formed here so
+    # that the reference does not share squeezed_variances' route.
     n_s = 2.0
-    p = fi.SqueezedThermalParams(r=2.0 * al.squeeze_parameter(n_s))
+    p = fi.SqueezedThermalParams(r=2.0 * np.arcsinh(np.sqrt(n_s)))
     assert p.mean_photon_number() == pytest.approx(n_s, abs=1e-12)
     assert np.allclose(p.covariance(), g.squeezed_vacuum(n_s).cov, atol=1e-14)
 
@@ -173,11 +173,12 @@ _SQUEEZED = fi.SqueezedThermalParams(r=1.0)
     (lambda: fi.fisher_closed_form(_SQUEEZED, np.nan), "transmissivities"),
     (lambda: fi.lossy_state(_SQUEEZED, np.nan), "transmissivities"),
     (lambda: fi.fisher_max(np.nan, 0.9), "photon budget"),
+    (lambda: fi.fisher_max(np.inf, 0.9), "photon budget"),
     (lambda: fi.fisher_max(1.0, np.nan), "transmissivities"),
     (lambda: fi.fisher_max(1.0, 0.0), "transmissivities"),
     (lambda: thermal_populations(np.nan, 5), "thermal occupation"),
-], ids=["closed-form-eta", "lossy-state-eta", "max-budget", "max-eta", "max-eta-zero",
-        "thermal-nbar"])
+], ids=["closed-form-eta", "lossy-state-eta", "max-budget", "max-budget-inf", "max-eta",
+        "max-eta-zero", "thermal-nbar"])
 def test_domain_checks_reject_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -21,8 +21,11 @@ def test_vacuum_state():
 
 
 def test_vacuum_rejects_zero_modes():
-    with pytest.raises(ValueError):
-        g.vacuum_state(0)
+    # The oracle builders share the library's node check, and so its message.
+    for build, modes in [(g.vacuum_state, 0), (g.balanced_splitter, 0),
+                         (g.balanced_splitter, np.nan)]:
+        with pytest.raises(ValueError, match="number of nodes"):
+            build(modes)
 
 
 def test_vacuum_is_loss_fixed_point():
@@ -54,8 +57,9 @@ def test_squeezed_vacuum_zero_photons_is_vacuum():
 
 
 def test_squeezed_vacuum_rejects_negative():
-    with pytest.raises(ValueError):
-        g.squeezed_vacuum(-0.1)
+    for n_s in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="photon budget"):
+            g.squeezed_vacuum(n_s)
 
 
 def test_balanced_splitter_small():
@@ -141,6 +145,8 @@ def test_loss_examples():
         g.LossChannel(np.array([1.1]))
     with pytest.raises(ValueError):
         g.LossChannel(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match=r"transmissivities must lie in \[2.2e-308, 1\]"):
+        g.LossChannel(np.array([0.5, 1e-310]))  # subnormal
     with pytest.raises(ValueError):
         g.apply_loss(g.vacuum_state(2), g.LossChannel(np.array([0.5, 0.5, 0.5])))
 
