@@ -71,11 +71,6 @@ class WeightedNetwork:
         self.weights.setflags(write=False)
         self.etas.setflags(write=False)
 
-    @property
-    def uniform(self):
-        """Equal weights and equal transmissivities on every node."""
-        return np.ptp(self.etas) == 0.0 and np.ptp(self.weights) == 0.0
-
 
 @dataclass
 class AllocationResult:

@@ -308,12 +308,10 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
 
 
 def build_product_input(num_nodes, total_photons):
-    """M-fold product of x-squeezed vacua with N/M photons each."""
+    """M-fold product of x-squeezed vacua with N/M photons each, as one diagonal state."""
     _check_nodes(num_nodes)
-    per_node = squeezed_vacuum(total_photons / num_nodes)
-    if num_nodes == 1:
-        return per_node
-    return tensor(*[per_node] * num_nodes)
+    variances = squeezed_variances(total_photons / num_nodes)
+    return GaussianState(np.zeros(2 * num_nodes), np.diag(np.repeat(variances, num_nodes)))
 
 
 def _mach_zehnder_unitary(dphi):

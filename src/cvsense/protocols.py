@@ -65,8 +65,8 @@ def entangled_rms_error(num_nodes, total_photons, eta):
 
 
 def product_rms_error(num_nodes, total_photons, eta):
-    """rms error of the optimal product scheme: the entangled form at N/M photons."""
-    _check_domain(num_nodes, total_photons, eta)
+    """rms error of the optimal product scheme: the entangled form at N/M photons per mode."""
+    _check_nodes(num_nodes)  # before N/M is formed
     return entangled_rms_error(num_nodes, np.asarray(total_photons, dtype=float) / num_nodes, eta)
 
 
@@ -103,8 +103,6 @@ class SensorNetworkConfig:
         # The network checks the nodes, weights, etas and budget and fills in their defaults.
         network = WeightedNetwork(self.num_nodes, self.weights, self.eta, self.total_photons)
         self.eta, self.weights = network.etas, network.weights
-        if self.scheme == "product" and not network.uniform:
-            raise ValueError("product-scheme simulation supports uniform networks only")
 
 
 @dataclass
@@ -138,15 +136,19 @@ def homodyne_plan(mean, a, top, unit):
 
     The measured quadratures have mean `mean` (length M) and covariance
     a I + (top - a) u u^T, the form of every pipeline marginal: variance top
-    along the unit vector u = `unit` (or zero) and a across it. The plan is
-    (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
+    along the unit vector u = `unit` (or zero) and a across it. With u zero the
+    marginal is diagonal and a may be a length-M vector, one variance per node.
+    The plan is (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
     """
     unit = np.asarray(unit, dtype=float)
+    eigs = np.append(a, top)
     # nan fails every test here, and u . u is nan or inf when any entry of u is.
-    if not (0.0 <= a < np.inf and 0.0 <= top < np.inf and np.isfinite(unit @ unit)):
+    if not (np.all((0.0 <= eigs) & (eigs < np.inf)) and np.isfinite(unit @ unit)):
         raise ValueError(f"quadrature covariance is not finite and PSD "
-                         f"(eigenvalues {a:.3e}, {top:.3e})")
-    return unit, np.sqrt(a), np.stack([(np.sqrt(top) - np.sqrt(a)) * unit, mean])
+                         f"(smallest eigenvalue {eigs.min():.3e})")
+    # A constant a scales as a scalar: broadcasting a short row costs a loop per trial.
+    root_a = np.sqrt(np.max(a)) if np.ptp(a) == 0.0 else np.sqrt(a)
+    return unit, root_a, np.stack([(np.sqrt(top) - root_a) * unit, mean])
 
 
 def homodyne_samples(plan, rng, normals, out):
@@ -243,17 +245,23 @@ def _build_input_for_config(cfg):
     return gaussian.build_entangled_input(cfg.num_nodes, cfg.total_photons, splitter=splitter)
 
 
+def _mode_photons(cfg):
+    """Photons in each squeezed mode: N_S in the entangled one, N_S/M in each product node's."""
+    return cfg.total_photons / cfg.num_nodes if cfg.scheme == "product" else cfg.total_photons
+
+
 def _x_marginal(cfg):
     """(a, top, unit) of the post-loss x-covariance a I + (top - a) unit unit^T, in O(M).
 
     Every variance is a noise kernel (allocation.noise_kernel) over 4. Product nodes are
-    independent, each squeezed with N_S/M photons: a = top = noise_kernel(eta, N_S/M)/4.
-    The entangled input spreads its squeezed mode along the splitter's unit first row u,
-    and loss maps u to v = sqrt(eta) u (Weedbrook et al., RMP 84, 621 (2012)): variance
-    1/4 across v and sum_m u_m^2 noise_kernel(eta_m, N_S)/4 along it.
+    independent, each squeezed with N_S/M photons: on any network, unit = 0 and
+    a = top = noise_kernel(eta_m, N_S/M)/4 per node. The entangled input spreads its
+    squeezed mode along the splitter's unit first row u, and loss maps u to v = sqrt(eta) u
+    (Weedbrook et al., RMP 84, 621 (2012)): variance 1/4 across v and
+    sum_m u_m^2 noise_kernel(eta_m, N_S)/4 along it.
     """
-    if cfg.scheme == "product":  # a uniform network
-        a = 0.25 * noise_kernel(cfg.eta[0], cfg.total_photons / cfg.num_nodes)
+    if cfg.scheme == "product":
+        a = 0.25 * noise_kernel(cfg.eta, _mode_photons(cfg))
         return a, a, np.zeros(cfg.num_nodes)
     u = _splitter_row(cfg)
     u = u / np.sqrt(u @ u)
@@ -265,7 +273,7 @@ def _x_marginal(cfg):
 def analytic_config_rms(cfg):
     """Estimator rms computed from the exact post-loss covariance.
 
-    Matches the closed forms on uniform networks and serves as the
+    Matches the closed forms on every network and serves as the
     splitter-completion-invariance oracle. It loads the dense engine when called.
     """
     from . import gaussian
@@ -277,10 +285,7 @@ def analytic_config_rms(cfg):
 
 def analytic_rms_for_scheme(cfg):
     """Closed-form estimator rms; each product node squeezes with N_S/M photons."""
-    photons = cfg.total_photons
-    if cfg.scheme == "product":
-        photons = photons / cfg.num_nodes
-    return weighted_rms(cfg.weights, cfg.eta, photons)
+    return weighted_rms(cfg.weights, cfg.eta, _mode_photons(cfg))
 
 
 def _check_sampler_bound(total_photons):
@@ -294,10 +299,10 @@ def _check_sampler_bound(total_photons):
 def simulate_displacement_protocol(cfg):
     """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times.
 
-    Raises ValueError above SAMPLER_MAX_PHOTONS, before drawing anything.
+    Raises ValueError above SAMPLER_MAX_PHOTONS of N_S, before drawing anything.
     """
     _check_sampler_bound(cfg.total_photons)
-    if cfg.total_photons > SQUEEZING_CAP_PHOTONS:
+    if _mode_photons(cfg) > SQUEEZING_CAP_PHOTONS:
         warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
     return _run_campaign(
         np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,

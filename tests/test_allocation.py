@@ -41,9 +41,6 @@ def test_network_defaults_to_uniform_weights_and_one_transmissivity():
         implicit = al.WeightedNetwork(m, None, 0.9, 4.0)
         assert np.array_equal(implicit.weights, explicit.weights)
         assert np.array_equal(implicit.etas, explicit.etas)
-        assert implicit.uniform and explicit.uniform
-    assert not al.WeightedNetwork(2, None, [0.9, 0.5], 4.0).uniform
-    assert not al.WeightedNetwork(2, [0.7, 0.3], 0.9, 4.0).uniform
 
 
 @pytest.mark.parametrize("m", [0, -3, np.nan])

@@ -360,16 +360,28 @@ def test_unknown_command_and_missing_option():
     assert run(["rms-curve"]) == 1  # --out is required
 
 
-def test_monte_carlo_rejects_heterogeneous_product(tmp_path, capsys):
+def test_monte_carlo_runs_heterogeneous_product(tmp_path):
+    # A product case on unequal links or weights samples each node at its own variance.
     out = tmp_path / "mc.csv"
     for extra in ("eta = 0.9, 0.5\n", "weights = 0.7, 0.3\n"):
         cfg = tmp_path / "hetero.cfg"
-        cfg.write_text("seed = 1\ntrials = 100\n[case]\nM = 2\nN_S = 2.0\n"
+        cfg.write_text("seed = 1\ntrials = 20000\n[case]\nM = 2\nN_S = 2.0\n"
                        "scheme = product\n" + extra)
-        assert run(["monte-carlo", "--config", cfg, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert "uniform networks only" in err and "Traceback" not in err
-        assert not out.exists()
+        assert run(["monte-carlo", "--config", cfg, "--out", out]) == 0
+        _, rows = csv_rows(out)
+        assert rows and all(r["status"] == "PASS" for r in rows)
+
+
+def test_product_cases_weigh_the_squeezing_cap_per_mode(tmp_path, capsys):
+    # No product mode here holds more than 5000 photons: no note, no warning line.
+    out = tmp_path / "curve.csv"
+    assert run(["rms-curve", "--scheme", "product", "--total-photons", 5e4, "--m-min", 10,
+                "--m-max", 20, "--out", out]) == 0
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("trials = 100\n[case]\nM = 100\nN_S = 5e4\nscheme = product\n")
+    assert run(["monte-carlo", "--config", cfg, "--out", tmp_path / "mc.csv"]) == 0
+    assert manifest(out)["notes"] == [] and manifest(tmp_path / "mc.csv")["notes"] == []
+    assert warning_lines(capsys) == []
 
 
 @pytest.mark.parametrize("threads", ["0", "-1", "abc"])

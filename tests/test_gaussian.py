@@ -218,6 +218,16 @@ def test_homodyne_covariance_consistency(rng):
         assert np.all(np.abs(np.cov(draws.T) - ana) < 5.0 * se)
 
 
+def test_homodyne_samples_a_diagonal_marginal_with_one_variance_per_node():
+    # unit = 0 with a vector a: independent nodes, as in a heterogeneous product network.
+    a, n = np.array([1e-3, 0.05, 0.25]), 200_000
+    draws = _homodyne(np.full(3, 0.2), a, a, np.zeros(3), n, np.random.default_rng(11))
+    assert np.all(np.abs(draws.mean(axis=0) - 0.2) < 5.0 * np.sqrt(a / n))
+    cov = np.cov(draws.T)
+    se = np.sqrt((np.outer(a, a) + np.diag(a) ** 2) / n)
+    assert np.all(np.abs(cov - np.diag(a)) < 5.0 * se)
+
+
 def test_homodyne_resolves_the_variance_along_unit_at_any_scale():
     # The along-u variance comes in as it is, so a tiny one is not lost next to a:
     # 6e-26 is the squeezed variance at N_S = 1e24.
@@ -247,11 +257,15 @@ def test_homodyne_reproducible():
     [(-1e-3, 0.0, np.zeros(3)), (0.25, -0.5, np.full(3, 0.5)), (0.25, -0.25 - 1e-12, [1.0, 0, 0]),
      (np.nan, 0.0, np.zeros(3)), (0.25, np.nan, np.ones(3)), (0.25, 0.0, [np.nan, 0, 0]),
      (0.25, -1e-300, np.ones(3)), (np.inf, 0.25, np.zeros(3)), (0.25, np.inf, np.ones(3)),
-     (0.25, 0.1, [0.0, np.inf, 0.0])],
+     (0.25, 0.1, [0.0, np.inf, 0.0]), (np.array([0.25, -2e-3, 0.1]), 0.25, np.zeros(3)),
+     (np.array([0.25, np.nan, 0.1]), 0.25, np.zeros(3))],
 )
 def test_homodyne_rejects_non_physical_marginals(a, top, v):
-    with pytest.raises(ValueError, match="not finite and PSD"):
+    with pytest.raises(ValueError, match="not finite and PSD") as caught:
         pr.homodyne_plan(np.zeros(3), a, top, v)
+    smallest = np.min(np.append(a, top))  # nan when any entry is
+    if not np.isnan(smallest) and smallest < 0.0:
+        assert f"(smallest eigenvalue {smallest:.3e})" in str(caught.value)
 
 
 # The frozen dataclasses that hold arrays compare and hash by identity: a generated
@@ -421,13 +435,9 @@ def test_dense_oracle_states_have_a_zero_xp_block(monkeypatch, rng, scheme):
 
     monkeypatch.setattr(g.GaussianState, "__post_init__", spy)
     for m in (1, 2, 5, 50):
-        if scheme == "product":  # uniform networks only
-            cfg = pr.SensorNetworkConfig(m, rng.uniform(1.0, 20.0), eta=0.8, scheme=scheme,
-                                         trials=1)
-        else:
-            w = rng.uniform(0.1, 1.0, m)
-            cfg = pr.SensorNetworkConfig(m, rng.uniform(1.0, 20.0), eta=rng.uniform(0.3, 1.0, m),
-                                         weights=w / w.sum(), trials=1)
+        w = rng.uniform(0.1, 1.0, m)
+        cfg = pr.SensorNetworkConfig(m, rng.uniform(1.0, 20.0), eta=rng.uniform(0.3, 1.0, m),
+                                     weights=w / w.sum(), scheme=scheme, trials=1)
         pr.analytic_config_rms(cfg)
     assert len(built) >= 8
     for state in built:

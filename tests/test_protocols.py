@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvsense import allocation as al
 from cvsense import cli
 from cvsense import gaussian as g
 from cvsense import protocols as pr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_readme_quick_start_runs_and_matches_its_quoted_values():
@@ -235,6 +237,44 @@ def test_monte_carlo_resolves_large_squeezing(m, n_s):
         assert report.agreement_sigmas() < 4.0
 
 
+def test_heterogeneous_product_networks_agree_on_every_route():
+    # Closed form = dense covariance route, and the Monte Carlo within 4 sigma on
+    # seeds 0-3, over random product networks: M in [1, 40], eta log-uniform in
+    # [1e-3, 1], weights bounded away from 0.
+    rng = np.random.default_rng(np.random.SeedSequence(2025))
+    for m in [1, 40, *rng.integers(1, 41, size=10)]:
+        w = rng.uniform(0.1, 1.0, m)
+        eta = np.exp(rng.uniform(np.log(1e-3), 0.0, m))
+        n_s = 10 ** rng.uniform(-2.0, 3.0)
+        for seed in range(4):
+            cfg = pr.SensorNetworkConfig(m, n_s, eta, weights=w / w.sum(), scheme="product",
+                                         alpha_true=0.1, seed=seed, trials=20_000)
+            if seed == 0:
+                closed = pr.analytic_rms_for_scheme(cfg)
+                assert closed == pytest.approx(pr.analytic_config_rms(cfg), rel=1e-12, abs=0.0)
+            report = pr.simulate_displacement_protocol(cfg)
+            assert report.analytic_rms == closed
+            assert report.agreement_sigmas() < 4.0
+
+
+def test_weighted_product_optima_match_the_sampler():
+    # An independent route for the weighted command's product rows: each optimum's
+    # per-node photons and weights, sampled as independent nodes (variance
+    # noise_kernel(eta_m, n_m)/4 each, unit = 0), meet its rms within 4 sigma.
+    scalars, _ = cli.parse_config(CONFIGS / "weighted_m2.cfg", cli._WEIGHTED_SCALARS)
+    etas, n_s = np.asarray(scalars["etas"]), scalars["N_S"]
+    net = al.WeightedNetwork(etas.size, scalars["weights"], etas, n_s)
+    alloc = al.allocate_photons_product(net)
+    w_opt, alloc_opt = al.optimal_weights_product(etas, n_s)
+    for weights, result in ((net.weights, alloc), (w_opt, alloc_opt)):
+        a = 0.25 * al.noise_kernel(etas, result.photons)
+        for seed in range(4):
+            report = pr._run_campaign(np.zeros(etas.size), a, a, np.zeros(etas.size), weights,
+                                      target=0.0, trials=200_000, seed=seed,
+                                      analytic_rms=result.objective)
+            assert report.agreement_sigmas() < 4.0
+
+
 def test_monte_carlo_rejects_photons_above_the_sampler_bound(monkeypatch):
     monkeypatch.setattr(pr, "_run_campaign", lambda *args, **kw: pytest.fail("sampled"))
     for n_s in (np.nextafter(pr.SAMPLER_MAX_PHOTONS, np.inf), 1e300):
@@ -378,9 +418,19 @@ def test_closed_forms_warn_past_the_squeezing_cap():
         warnings.simplefilter("error")
         pr.sensitivity_ratio_db(4, cap, 0.9)  # at the cap: no warning
     past = np.nextafter(cap, np.inf)
-    for closed_form in (pr.entangled_rms_error, pr.product_rms_error, pr.sensitivity_ratio_db):
+    for closed_form in (pr.entangled_rms_error, pr.sensitivity_ratio_db):
         with pytest.warns(UserWarning, match="40 dB"):
             closed_form(4, np.array([1.0, past]), 0.9)
+    # A product node squeezes N_S/M photons, so the product form weighs N_S/M against
+    # the cap: it warns once at M = 1 just past it, and not at all at M = 4 with 4e4.
+    for m, n_s in ((1, past), (2, 5e4)):
+        with pytest.warns(UserWarning, match="40 dB") as caught:
+            pr.product_rms_error(m, np.array([1.0, n_s]), 0.9)
+        assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr.product_rms_error(4, 4.0 * cap, 0.9)
+        pr.product_rms_error(10, 5e4, 0.9)
     with pytest.warns(UserWarning, match="40 dB"):
         pr.phase_rms_error(4, past, 100.0, 0.9)
 
@@ -541,7 +591,7 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
         eta = rng.uniform(0.05, 1.0, m) if het else rng.choice([1.0, rng.uniform(0.05, 1.0)])
         cfg = pr.SensorNetworkConfig(
             m, 10 ** rng.uniform(-2, 4), eta, weights=rng.dirichlet(np.ones(m)) if het else None,
-            scheme="product" if not het and rng.random() < 0.5 else "entangled",
+            scheme="product" if rng.random() < 0.5 else "entangled",
             alpha_true=rng.uniform(-1.0, 1.0))
         mean, a, top, unit = _campaign_inputs(
             monkeypatch, lambda: pr.simulate_displacement_protocol(cfg))
