@@ -27,59 +27,63 @@ def symplectic_form(num_modes):
     return omega
 
 
-def _uncertainty_matrix(cov, m):
-    """T (cov + (i/4) Omega) T^H with T = diag(I, iI), in one fresh buffer.
+def _checked_covariance(cov, m):
+    """Symmetrised cov, once it is finite, symmetric and obeys cov + (i/4) Omega >= 0.
 
-    For cov = [[X, C], [C^T, P]] this is [[X, I/4 - iC], [I/4 + iC^T, P]]: unitarily
-    similar to cov + (i/4) Omega, so it has the same eigenvalues, and real symmetric
-    when the x-p block C is zero, as in every network state (diagonal inputs, real
-    splitters, loss). Then it is a float64 matrix, half the bytes of a complex one.
+    The principle is tested on T (cov + (i/4) Omega) T^H with T = diag(I, iI): for
+    cov = [[X, C], [C^T, P]] that is [[X, I/4 - iC], [I/4 + iC^T, P]], unitarily similar
+    and so with the same eigenvalues. It is real when the x-p block C is zero, as in every
+    network state (diagonal inputs, real splitters, loss), and then is formed in the
+    float64 buffer of the symmetry test; else in one complex buffer. A Cholesky factor of
+    it plus UNCERTAINTY_TOL I exists when every eigenvalue exceeds -UNCERTAINTY_TOL, which
+    settles almost every call; eigvalsh runs only when the factorization fails, to decide
+    at round-off and report the eigenvalue. The caller's cov is only read.
     """
-    cross = cov[:m, m:]
+    n = 2 * m
+    # Each tolerance test is written so that nan fails it; the largest
+    # entry is nan or inf when any entry is.
+    largest = np.abs(cov).max()
+    symmetric = False
+    if np.isfinite(largest):
+        herm = np.subtract(cov, cov.T)
+        symmetric = np.abs(herm, out=herm).max() <= SYMMETRY_RTOL * max(1.0, largest)
+    if not symmetric:
+        raise ValueError("covariance matrix is not finite and symmetric")
+    sym = cov + cov.T
+    sym *= 0.5
+    cross = sym[:m, m:]
     if cross.any():
-        herm = np.zeros((2 * m, 2 * m), dtype=complex)
-        herm.real[:m, :m] = cov[:m, :m]
-        herm.real[m:, m:] = cov[m:, m:]
+        del herm  # returned before the complex buffer is taken
+        herm = np.zeros((n, n), dtype=complex)
+        herm.real[:m, :m] = sym[:m, :m]
+        herm.real[m:, m:] = sym[m:, m:]
         np.negative(cross, out=herm.imag[:m, m:])
-        herm.imag[m:, :m] = cov[m:, :m]
+        herm.imag[m:, :m] = sym[m:, :m]
     else:
-        herm = cov.copy()
-    # The real part of either off-diagonal block is I/4 (C's entries are 0 here).
-    idx = np.arange(m)
-    herm.real[idx, idx + m] = herm.real[idx + m, idx] = 0.25
-    return herm
-
-
-def psd_violation(herm, tol):
-    """Minimum eigenvalue of herm, real symmetric or complex Hermitian, if it is below
-    -tol, else None.
-
-    A Cholesky factor of herm + tol I exists when every eigenvalue of herm
-    exceeds -tol, which settles almost every call; eigvalsh runs only when
-    the factorization fails, to decide at round-off and report the eigenvalue.
-    The shift is made on herm's diagonal in place and undone before return,
-    so herm reads the same afterwards and no shifted copy is allocated.
-    """
-    diag = herm.diagonal().copy()
-    herm.flat[:: herm.shape[0] + 1] += tol
+        np.copyto(herm, sym)
+    # Views of the real part: the diagonals of the off-diagonal blocks, whose real part
+    # is I/4 (C's entries are 0 there), and the main diagonal, shifted by the tolerance.
+    flat = herm.real.reshape(-1)
+    flat[m : n * m : n + 1] = flat[n * m :: n + 1] = 0.25
+    diagonal = flat[:: n + 1]
+    diagonal += UNCERTAINTY_TOL
     try:
         np.linalg.cholesky(herm)
-        return None
+        return sym
     except np.linalg.LinAlgError:
-        pass
-    finally:
-        herm.flat[:: herm.shape[0] + 1] = diag
+        diagonal[:] = sym.diagonal()  # the shift removed exactly
     min_eig = np.linalg.eigvalsh(herm).min()
-    return min_eig if not (min_eig >= -tol) else None
+    if not (min_eig >= -UNCERTAINTY_TOL):
+        raise ValueError(f"covariance violates the uncertainty principle (min eig {min_eig:.3e})")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
     """M-mode Gaussian state: mean vector (length 2M) and covariance (2M x 2M).
 
-    Construction checks the uncertainty principle cov + (i/4) Omega >= 0 by a
-    Cholesky factorization: of a real symmetric matrix when the x-p block of cov
-    is zero, else of a complex Hermitian one (_uncertainty_matrix).
+    Construction copies both arrays and checks the uncertainty principle
+    cov + (i/4) Omega >= 0 by a Cholesky factorization (_checked_covariance).
     """
 
     mean: np.ndarray
@@ -87,7 +91,7 @@ class GaussianState:
     num_modes: int = field(init=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = np.array(self.mean, dtype=float)  # a copy: the caller's stays writable
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0:
             raise ValueError("mean must be a flat vector of even length")
@@ -96,18 +100,7 @@ class GaussianState:
         m = mean.size // 2
         if cov.shape != (2 * m, 2 * m):
             raise ValueError("covariance shape does not match mean length")
-        # Each tolerance test is written so that nan fails it; the largest
-        # entry is nan or inf when any entry is.
-        largest = np.abs(cov).max()
-        scale = max(1.0, largest)
-        if not (np.isfinite(largest) and np.abs(cov - cov.T).max() <= SYMMETRY_RTOL * scale):
-            raise ValueError("covariance matrix is not finite and symmetric")
-        cov = 0.5 * (cov + cov.T)
-        min_eig = psd_violation(_uncertainty_matrix(cov, m), UNCERTAINTY_TOL)
-        if min_eig is not None:
-            raise ValueError(
-                f"covariance violates the uncertainty principle (min eig {min_eig:.3e})"
-            )
+        cov = _checked_covariance(cov, m)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "num_modes", m)
@@ -235,36 +228,32 @@ def complete_orthogonal(first_row):
     return o
 
 
-def transform_from_mode_matrix(mode_matrix):
-    """Symplectic transform for outputs a = O^T b with O real orthogonal.
+def passive_transform(unitary):
+    """Symplectic matrix [[X, -Y], [Y, X]] of a mode unitary U = X + iY (lossless optics).
 
-    With O's first row u, the inputs satisfy b_1 = sum_m u_m a_m, i.e. the
-    first input mode is spread over the outputs with coefficients u.
+    For U = O^T with O real orthogonal the outputs are a = O^T b: with O's first
+    row u, b_1 = sum_m u_m a_m, i.e. the first input mode is spread over the
+    outputs with coefficients u.
     """
-    o = np.asarray(mode_matrix, dtype=float)
-    m = o.shape[0]
+    u = np.asarray(unitary)
+    m = u.shape[0]
     s = np.zeros((2 * m, 2 * m))
-    s[:m, :m] = o.T
-    s[m:, m:] = o.T
+    s[:m, :m] = s[m:, m:] = u.real
+    if np.iscomplexobj(u):
+        s[m:, :m] = u.imag
+        np.negative(u.imag, out=s[:m, m:])
     return SymplecticTransform(s)
 
 
 def balanced_splitter(num_modes):
     """M-port splitter distributing input mode 1 evenly, b_1 = sum_m a_m / sqrt(M)."""
     _check_nodes(num_modes)
-    return transform_from_mode_matrix(complete_orthogonal(np.ones(num_modes)))
+    return passive_transform(complete_orthogonal(np.ones(num_modes)).T)
 
 
 def unbalanced_splitter(coeffs):
     """Splitter whose first input spreads with the given (normalized) coefficients."""
-    return transform_from_mode_matrix(complete_orthogonal(coeffs))
-
-
-def passive_transform(unitary):
-    """Symplectic matrix of a complex mode unitary U = X + iY (lossless optics)."""
-    u = np.asarray(unitary, dtype=complex)
-    x, y = u.real, u.imag
-    return SymplecticTransform(np.block([[x, -y], [y, x]]))
+    return passive_transform(complete_orthogonal(coeffs).T)
 
 
 # -- channels and measurements --------------------------------------------
@@ -282,8 +271,10 @@ def apply_loss(state, channel):
     etas = channel.transmissivities
     if etas.size != state.num_modes:
         raise ValueError("channel length does not match state mode count")
-    d = np.concatenate([np.sqrt(etas), np.sqrt(etas)])
-    cov = state.cov * np.outer(d, d) + np.diag((1.0 - d * d) / 4.0)
+    d = np.sqrt(np.concatenate([etas, etas]))
+    cov = state.cov * d
+    cov *= d[:, None]
+    cov.reshape(-1)[:: d.size + 1] += (1.0 - d * d) / 4.0
     return GaussianState(d * state.mean, cov)
 
 

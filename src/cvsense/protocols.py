@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -49,13 +50,21 @@ SAMPLER_MAX_PHOTONS = 1e20
 CHUNK_NORMALS = 1 << 15
 
 
+def _warn_squeezing_cap():
+    """Warn SQUEEZING_CAP_NOTE at the line that called into this package, however deep."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=level)
+
+
 def _check_domain(num_nodes, total_photons, eta):
     """Raise ValueError outside the closed forms' domain; warn past the 40 dB squeezing cap."""
     _check_nodes(num_nodes)
     _check_budget(total_photons)
     _check_etas(eta)
     if np.any(np.asarray(total_photons) > SQUEEZING_CAP_PHOTONS):
-        warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=3)
+        _warn_squeezing_cap()
 
 
 def entangled_rms_error(num_nodes, total_photons, eta):
@@ -303,7 +312,7 @@ def simulate_displacement_protocol(cfg):
     """
     _check_sampler_bound(cfg.total_photons)
     if _mode_photons(cfg) > SQUEEZING_CAP_PHOTONS:
-        warnings.warn(SQUEEZING_CAP_NOTE, stacklevel=2)
+        _warn_squeezing_cap()
     return _run_campaign(
         np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
         target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
@@ -333,9 +342,9 @@ def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
     c a + d b, with c = cos(dphi/2) e^{i dphi/2} and d = i sin(dphi/2) e^{i dphi/2}, has after
     loss the p-mean sqrt(eta) Im(d) sqrt(M N_v) and the p-variance
     top = eta [Im(c)^2 V_x + Re(c)^2 V_p + |d|^2/4] + (1 - eta)/4, spread along 1/sqrt(M).
-    Raises ValueError above SAMPLER_MAX_PHOTONS.
+    The caller checks the domain first (phase_rms_error). Raises ValueError above
+    SAMPLER_MAX_PHOTONS.
     """
-    phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain checks first
     _check_sampler_bound(total_photons)
     c = np.cos(0.5 * dphi) * np.exp(0.5j * dphi)
     d = 1j * np.sin(0.5 * dphi) * np.exp(0.5j * dphi)
@@ -348,6 +357,7 @@ def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
 
 def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
     """(estimator mean, estimator sd, rms about dphi) from the exact marginal, in O(M)."""
+    phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain checks first
     mean, _, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
     est_mean = w @ mean
     # w and unit are both constant vectors, so w has no part across unit and only the
@@ -369,8 +379,7 @@ def simulate_phase_protocol(
         )
     if trials < 1:
         raise ValueError("trial count must be positive")
+    analytic_rms = phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain first
     marginal = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
-    return _run_campaign(
-        *marginal, target=dphi_true, trials=trials, seed=seed,
-        analytic_rms=phase_rms_error(num_nodes, total_photons, ancilla_photons, eta),
-    )
+    return _run_campaign(*marginal, target=dphi_true, trials=trials, seed=seed,
+                         analytic_rms=analytic_rms)

@@ -27,6 +27,6 @@ def random_gaussian_state(rng, num_modes, max_squeeze=0.8, max_disp=0.5):
     ]
     state = gaussian.tensor(*modes) if num_modes > 1 else modes[0]
     ortho = np.linalg.qr(rng.standard_normal((num_modes, num_modes)))[0]
-    state = gaussian.apply_symplectic(state, gaussian.transform_from_mode_matrix(ortho))
+    state = gaussian.apply_symplectic(state, gaussian.passive_transform(ortho.T))
     disp = rng.uniform(-max_disp, max_disp, size=2 * num_modes)
     return gaussian.GaussianState(state.mean + disp, state.cov)

@@ -526,6 +526,7 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
     ["phase", "--config", "small_phase.cfg", "--seed", 2**32],
     ["monte-carlo", "--config", "big_seed_mc.cfg"],
     ["phase", "--config", "big_seed_phase.cfg"],
+    ["fisher", "--draws", cli.FISHER_MAX_DRAWS + 1],
 ])
 def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, args):
     for name, text in HOSTILE_CONFIGS.items():
@@ -533,6 +534,7 @@ def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
     assert run(args + ["--out", tmp_path / "x.csv"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 SMALL_MC = "[case]\nM = 2\nN_S = 1\ntrials = 10\n"

@@ -101,7 +101,7 @@ def test_unbalanced_splitter():
 def test_symplectic_invariant_random_transforms(rng):
     for m in (1, 2, 5):
         ortho = np.linalg.qr(rng.standard_normal((m, m)))[0]
-        t = g.transform_from_mode_matrix(ortho)
+        t = g.passive_transform(ortho.T)
         omega = g.symplectic_form(m)
         assert np.abs(t.matrix @ omega @ t.matrix.T - omega).max() < 1e-10
 
@@ -165,7 +165,7 @@ def test_purity_preserved_by_lossless_transforms(rng):
     state = random_gaussian_state(rng, 2)
     det_before = np.linalg.det(state.cov)
     ortho = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    out = g.apply_symplectic(state, g.transform_from_mode_matrix(ortho))
+    out = g.apply_symplectic(state, g.passive_transform(ortho.T))
     assert np.linalg.det(out.cov) == pytest.approx(det_before, rel=1e-10)
 
 
@@ -359,23 +359,34 @@ def test_pure_networks_at_the_squeezing_cap_are_physical(rng, num_modes):
         assert state.mean_photon_number() == pytest.approx(1e4, rel=1e-9)
 
 
-def test_psd_violation_reports_only_eigenvalues_below_tolerance():
-    assert g.psd_violation(np.diag([1.0, 0.0]), 1e-10) is None
-    assert g.psd_violation(np.diag([1.0, -5e-11]), 1e-10) is None
-    assert g.psd_violation(np.diag([1.0, -3e-10]), 1e-10) == pytest.approx(-3e-10)
-    herm = np.array([[0.5, 0.5j], [-0.5j, 0.5]])  # eigenvalues 1 and 0
-    assert g.psd_violation(herm, 1e-10) is None
-    assert g.psd_violation(herm - 1e-9 * np.eye(2), 1e-10) == pytest.approx(-1e-9)
+@pytest.mark.parametrize("entry, delta, error", [
+    ((0, 0), 0.0, None),
+    ((0, 0), np.nan, "not finite and symmetric"),
+    ((0, 1), 1e-6, "not finite and symmetric"),  # one off-diagonal entry only
+    ((0, 0), -1e-3, "uncertainty principle"),
+], ids=["accepted", "non-finite", "asymmetric", "unphysical"])
+def test_state_leaves_the_callers_arrays_unchanged_and_writable(entry, delta, error):
+    cov = _pure_network_cov(3).copy()
+    cov[entry] += delta
+    mean = np.arange(6.0)
+    before = mean.copy(), cov.copy()
+    if error is None:
+        state = g.GaussianState(mean, cov)
+        assert not (state.mean.flags.writeable or state.cov.flags.writeable)
+    else:
+        with pytest.raises(ValueError, match=error):
+            g.GaussianState(mean, cov)
+    assert np.array_equal(mean, before[0])
+    assert np.array_equal(cov, before[1], equal_nan=True)
+    assert mean.flags.writeable and cov.flags.writeable
 
 
-def test_psd_violation_leaves_its_argument_unchanged():
-    # The tolerance shift is made in place; both outcomes must undo it exactly.
-    for herm in (np.array([[0.5, 0.5j], [-0.5j, 0.5]]),  # passes the factorization
-                 np.diag([1.0 / 3.0, -3e-10]),  # fails it and reports
-                 np.diag([0.1, -5e-11])):  # fails it, eigvalsh settles it
-        before = herm.copy()
-        g.psd_violation(herm, 1e-10)
-        assert np.array_equal(herm, before)
+@pytest.mark.parametrize("m", [1, 2, 7, 50])
+def test_passive_transform_of_a_real_orthogonal_is_block_diagonal(m):
+    ortho = np.linalg.qr(np.random.default_rng([27, m]).standard_normal((m, m)))[0]
+    expected = np.zeros((2 * m, 2 * m))
+    expected[:m, :m] = expected[m:, m:] = ortho.T
+    assert np.array_equal(g.passive_transform(ortho.T).matrix, expected)
 
 
 def _complex_form_verdict(cov):
@@ -392,7 +403,7 @@ def _random_pure_cov(rng, m, correlated):
     if correlated:
         s = g.passive_transform(_random_unitary(rng, m)).matrix
     else:
-        s = g.transform_from_mode_matrix(np.linalg.qr(rng.standard_normal((m, m)))[0]).matrix
+        s = g.passive_transform(np.linalg.qr(rng.standard_normal((m, m)))[0].T).matrix
     return s @ squeezed @ s.T
 
 
@@ -403,9 +414,9 @@ def test_uncertainty_check_matches_the_complex_form(monkeypatch, m, correlated):
     # x-p block C is zero. Its verdict and reported min eig must be the complex form's.
     rng = np.random.default_rng([22, m, correlated])
     dtypes = []
-    real_check = g.psd_violation
-    monkeypatch.setattr(g, "psd_violation",
-                        lambda herm, tol: dtypes.append(herm.dtype) or real_check(herm, tol))
+    real_cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda herm: dtypes.append(herm.dtype) or real_cholesky(herm))
     tol = g.UNCERTAINTY_TOL
     for _ in range(8):
         pure = _random_pure_cov(rng, m, correlated)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvsense import allocation as al
-from cvsense import cli
+from cvsense import cli, fisher
 from cvsense import gaussian as g
 from cvsense import protocols as pr
 
@@ -159,7 +159,7 @@ def test_splitter_completion_invariance():
         mix = np.linalg.qr(rng.standard_normal((m - 1, m - 1)))[0]
         alternate = default.copy()
         alternate[1:] = mix @ default[1:]
-        splitter = g.transform_from_mode_matrix(alternate)
+        splitter = g.passive_transform(alternate.T)
         state = g.apply_loss(
             g.build_entangled_input(m, n_s, splitter=splitter),
             g.LossChannel(np.full(m, eta)),
@@ -433,6 +433,30 @@ def test_closed_forms_warn_past_the_squeezing_cap():
         pr.product_rms_error(10, 5e4, 0.9)
     with pytest.warns(UserWarning, match="40 dB"):
         pr.phase_rms_error(4, past, 100.0, 0.9)
+
+
+def test_each_entry_point_warns_once_at_its_callers_line():
+    # However deep inside the package the cap is found, the warning names the calling line
+    # of this file, so Python's default filter shows it once per calling line.
+    past = 5e4
+    calls = {
+        "entangled_rms_error": lambda: pr.entangled_rms_error(2, past, 0.9),
+        "product_rms_error": lambda: pr.product_rms_error(1, past, 0.9),
+        "sensitivity_ratio_db": lambda: pr.sensitivity_ratio_db(2, past, 0.9),
+        "phase_rms_error": lambda: pr.phase_rms_error(2, past, 100.0, 0.9),
+        "phase_exact_stats": lambda: pr.phase_exact_stats(2, past, 100.0, 0.9, 0.01),
+        "simulate_phase_protocol":
+            lambda: pr.simulate_phase_protocol(2, past, 100.0, 0.9, 0.01, 10, seed=0),
+        "simulate_displacement_protocol":
+            lambda: pr.simulate_displacement_protocol(pr.SensorNetworkConfig(1, past, trials=10)),
+        "cr_bound_separable": lambda: fisher.cr_bound_separable(1, past, 0.9),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.filename, str(w.message)) for w in caught] == [
+            (__file__, pr.SQUEEZING_CAP_NOTE)], name
 
 
 def test_phase_rms_error():
