@@ -44,6 +44,11 @@ SEED_MAX = 2**32 - 1
 # decades of margin below the largest N_S measured to pass. Phase campaigns (a closed-form
 # marginal) met phase_exact_stats within 4 sigma up to it: M <= 1000, dphi <= 0.29, seeds 0-3.
 SAMPLER_MAX_PHOTONS = 1e20
+# Largest spacing of float64 numbers near alpha, as a fraction of the estimator's analytic
+# rms, that a displacement campaign samples. Rounding the outcomes alpha + noise and their
+# weighted sum adds at most about spacing^2/6 to the estimator's variance, so at 1e-3 the
+# rms moves by less than 1e-7 relative.
+ALPHA_RESOLUTION = 1e-3
 
 # Normals per Monte Carlo chunk: each campaign thread's two sample buffers
 # stay near 256 KB each, whatever the node count.
@@ -89,7 +94,7 @@ def sensitivity_ratio_db(num_nodes, total_photons, eta):
 # -- Monte Carlo campaign -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SensorNetworkConfig:
     """Single source of truth for a displacement-sensing protocol run."""
 
@@ -111,7 +116,8 @@ class SensorNetworkConfig:
             raise ValueError("alpha_true must be finite")
         # The network checks the nodes, weights, etas and budget and fills in their defaults.
         network = WeightedNetwork(self.num_nodes, self.weights, self.eta, self.total_photons)
-        self.eta, self.weights = network.etas, network.weights
+        object.__setattr__(self, "eta", network.etas)
+        object.__setattr__(self, "weights", network.weights)
 
 
 @dataclass
@@ -305,19 +311,33 @@ def _check_sampler_bound(total_photons):
         )
 
 
+def _check_resolution(alpha, analytic_rms):
+    spacing = np.spacing(abs(alpha))
+    if spacing > ALPHA_RESOLUTION * analytic_rms:
+        # The largest |alpha| whose spacing 2^(e - 52), for 2^e <= |alpha|, is within the bound.
+        bound = 2.0 ** (np.floor(np.log2(ALPHA_RESOLUTION * analytic_rms)) + 53)
+        raise ValueError(
+            f"|alpha| = {abs(alpha):g} exceeds the resolution bound {bound:g}: float64 "
+            f"outcomes near it are {spacing:.3g} apart, above {ALPHA_RESOLUTION:g} of the "
+            f"analytic rms {analytic_rms:.3g}"
+        )
+
+
 def simulate_displacement_protocol(cfg):
     """Homodyne-sample the pipeline's x marginal (input, loss, displacement) cfg.trials times.
 
-    Raises ValueError above SAMPLER_MAX_PHOTONS of N_S, before drawing anything.
+    Raises ValueError above SAMPLER_MAX_PHOTONS of N_S, or where float64 outcomes near
+    alpha_true are spaced above ALPHA_RESOLUTION of the analytic rms, before drawing anything.
     """
     _check_sampler_bound(cfg.total_photons)
+    analytic_rms = analytic_rms_for_scheme(cfg)
+    _check_resolution(cfg.alpha_true, analytic_rms)
     if _mode_photons(cfg) > SQUEEZING_CAP_PHOTONS:
         _warn_squeezing_cap()
     return _run_campaign(
         np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
         target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
-        trials=cfg.trials, seed=cfg.seed,
-        analytic_rms=analytic_rms_for_scheme(cfg),
+        trials=cfg.trials, seed=cfg.seed, analytic_rms=analytic_rms,
     )
 
 

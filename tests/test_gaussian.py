@@ -277,8 +277,9 @@ def test_homodyne_rejects_non_physical_marginals(a, top, v):
     lambda: fock.FockOperator(np.eye(3, 1)),
     lambda: al.WeightedNetwork(2, None, 0.9, 1.0),
     lambda: fisher.SqueezedThermalParams(r=0.5),
+    lambda: pr.SensorNetworkConfig(2, 1.0),
 ], ids=["GaussianState", "SymplecticTransform", "LossChannel", "FockOperator",
-        "WeightedNetwork", "SqueezedThermalParams"])
+        "WeightedNetwork", "SqueezedThermalParams", "SensorNetworkConfig"])
 def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
@@ -379,6 +380,25 @@ def test_state_leaves_the_callers_arrays_unchanged_and_writable(entry, delta, er
     assert np.array_equal(mean, before[0])
     assert np.array_equal(cov, before[1], equal_nan=True)
     assert mean.flags.writeable and cov.flags.writeable
+
+
+@pytest.mark.parametrize("num_modes, entry", [(2, (1, 0)), (5, (0, 9))], ids=["C=0", "C!=0"])
+def test_eigvalsh_decides_when_the_shifted_cholesky_fails(monkeypatch, num_modes, entry):
+    # Round-off can defeat the shifted factorization of a state within the tolerance;
+    # eigvalsh then decides on the unshifted matrix, so the verdict stays the tolerance's.
+    def defeated(herm):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", defeated)
+    cov, mean, tol = _pure_network_cov(num_modes), np.zeros(2 * num_modes), g.UNCERTAINTY_TOL
+    inside = cov - 0.5 * tol * np.eye(2 * num_modes)
+    inside[entry] += 1e-18  # asymmetric within SYMMETRY_RTOL, in the x block or the x-p block
+    state = g.GaussianState(mean, inside)
+    sym = inside + inside.T
+    sym *= 0.5
+    assert np.array_equal(state.cov, sym)
+    with pytest.raises(ValueError, match="min eig -1.500e-10"):  # accepted if the shift stayed
+        g.GaussianState(mean, cov - 1.5 * tol * np.eye(2 * num_modes))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 50])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import threading
 import tracemalloc
@@ -402,6 +403,11 @@ def test_config_validation():
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="alpha_true"):
             pr.SensorNetworkConfig(2, 1.0, alpha_true=alpha)
+    # A checked config stays checked: no field can be set after construction.
+    cfg = pr.SensorNetworkConfig(2, 1.0)
+    for name, value in (("trials", 0), ("scheme", "prodct"), ("eta", 5.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
 
 def test_lossy_entangled_scaling_is_sql():
