@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvsense import cli, protocols
+from test_hostile_inputs import ROWS, check_in_process
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -312,6 +313,46 @@ def test_manifest_records_main_argv_and_replays_only_its_schema(tmp_path):
             cli.manifest_to_argv(dict(info, manifest_schema=schema), "x.csv")
     with pytest.raises(ValueError, match="unknown command"):
         cli.manifest_to_argv(dict(info, command="no-such-command"), "x.csv")
+
+
+# Earlier tests of usage errors, each now a row of the hostile-input table. They keep their
+# names and run their rows through the table's harness.
+TABLE = {row.id: row for row in ROWS}
+USAGE_ERROR_ROWS = [
+    "negative-photons-per-node", "negative-total-photons", "ratio-negative-photons",
+    "ratio-curve-eta=0", "ratio-zero-nodes", "negative-loss", "weighted-negative-budget",
+    "negative-draws", "fisher-negative-seed", "monte-carlo-negative-seed",
+    "phase-negative-seed", "rms-curve-N_S=nan", "nan-photons-per-node", "rms-curve-N_S=inf",
+    "rms-curve-eta=nan", "ratio-curve-N_S=nan", "nan-loss", "weighted-N_S=nan",
+    "weighted-no-etas", "monte-carlo-nan-alpha", "monte-carlo-inf-alpha", "phase-dphi=nan",
+    "phase-N_v=nan", "fisher-seed=4294967296", "monte-carlo-seed=4294967296",
+    "phase-seed=4294967296", "monte-carlo-seed-2^32", "phase-seed-2^32", "draws-above-bound",
+]
+
+
+@pytest.mark.parametrize("row_id", USAGE_ERROR_ROWS,
+                         ids=[f"args{i}" for i in range(len(USAGE_ERROR_ROWS))])
+def test_hostile_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, row_id):
+    assert TABLE[row_id].exit == 1
+    check_in_process(TABLE[row_id], tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("row_id", [
+    "unknown-option", "bad-choice", "abbreviation", "rms-curve-N_S=nan", "rms-curve-N_S=inf",
+    "ratio-curve-eta=nan", "inf-loss", "float-draws", "fisher-seed=4294967296", "no-command",
+], ids=["unknown-option", "bad-choice", "abbreviation", "nan", "inf", "nan-eta", "inf-loss",
+        "float-draws", "big-seed", "no-command"])
+def test_usage_errors_exit_1_with_a_message(tmp_path, monkeypatch, capsys, row_id):
+    assert TABLE[row_id].exit == 1 and TABLE[row_id].message
+    check_in_process(TABLE[row_id], tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["fisher", "monte-carlo", "phase"])
+def test_largest_seed_is_accepted(tmp_path, monkeypatch, capsys, command):
+    # Seeds are one 32-bit word: 2^32 - 1 runs, 2^32 is a usage error.
+    row = TABLE[f"{command}-seed={protocols.SEED_MAX}"]
+    assert row.exit == 0
+    check_in_process(row, tmp_path, monkeypatch, capsys)
 
 
 # The parameters each README invocation recorded before the command line moved to

@@ -287,8 +287,7 @@ def check(row, tmp_path, run):
             assert "FAIL" in cells
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_hostile_input(tmp_path, monkeypatch, capsys, row):
+def check_in_process(row, tmp_path, monkeypatch, capsys):
     if row.setup:
         row.setup(monkeypatch)
 
@@ -296,6 +295,11 @@ def test_hostile_input(tmp_path, monkeypatch, capsys, row):
         return cli.main(argv), capsys.readouterr().err
 
     check(row, tmp_path, in_process)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_hostile_input(tmp_path, monkeypatch, capsys, row):
+    check_in_process(row, tmp_path, monkeypatch, capsys)
 
 
 def test_rows_are_distinct():
