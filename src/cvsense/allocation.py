@@ -31,7 +31,7 @@ def _check_etas(etas):
     # whose w^2 eta underflows.
     etas = np.asarray(etas, dtype=float)
     if not np.all((etas >= TINY) & (etas <= 1.0)):
-        raise ValueError(f"transmissivities must lie in [{TINY:.2g}, 1]")
+        raise ValueError(f"transmissivities must lie in [{TINY!r}, 1]")
 
 
 def _check_budget(total_photons):
@@ -72,7 +72,7 @@ class WeightedNetwork:
         self.etas.setflags(write=False)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AllocationResult:
     """Per-node photon numbers with the achieved rms error and KKT diagnostics."""
 
@@ -80,6 +80,9 @@ class AllocationResult:
     objective: float
     kkt_residual: float
     iterations: int
+
+    def __post_init__(self):
+        self.photons.setflags(write=False)
 
 
 def _inv_scale(n):

@@ -33,8 +33,8 @@ EXIT_NONCONVERGENCE = 3
 
 POINTS_PER_DECADE = 20
 MANIFEST_SCHEMA = 2
-# Most random draws one fisher sweep takes. Each costs about 0.3 ms (2-CPU x86-64 host)
-# and holds its CSV row in memory until the end, so the largest sweep runs in about 30 s.
+# Most random draws one fisher sweep takes. Each costs about 0.2 ms (2-CPU x86-64 host)
+# and holds its CSV row in memory until the end, so the largest sweep runs in about 20 s.
 FISHER_MAX_DRAWS = 100_000
 
 

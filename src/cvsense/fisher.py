@@ -73,11 +73,15 @@ def gaussian_fidelity(a, b):
     """Closed-form Uhlmann fidelity of two single-mode Gaussian states."""
     if a.num_modes != 1 or b.num_modes != 1:
         raise ValueError("closed-form fidelity handles single-mode states only")
-    return _fidelity(a.mean, a.cov, b.mean, b.cov)
+    return _fidelities(a.mean, a.cov, [b.mean], b.cov)[0]
 
 
-def _fidelity(mean_a, cov_a, mean_b, cov_b):
-    """gaussian_fidelity on the states' arrays: 2-vector means, 2 x 2 covariances."""
+def _fidelities(mean_a, cov_a, means_b, cov_b):
+    """gaussian_fidelity of (mean_a, cov_a) against (mean_b, cov_b) for each of means_b.
+
+    The terms that depend on the covariances alone are formed once; each mean keeps
+    its own solve, so every value has the bits of a call with that mean alone.
+    """
     vsum = cov_a + cov_b
     big = 4.0 * np.linalg.det(vsum)
     small = (16.0 * np.linalg.det(cov_a) - 1.0) * (16.0 * np.linalg.det(cov_b) - 1.0) / 4.0
@@ -86,10 +90,9 @@ def _fidelity(mean_a, cov_a, mean_b, cov_b):
         if not (small >= -PURITY_CLAMP):
             raise ValueError("covariance violates the purity bound")
         small = 0.0
-    du = mean_b - mean_a
-    expo = np.exp(-0.5 * du @ np.linalg.solve(vsum, du))
-    fid = expo / (np.sqrt(big + small) - np.sqrt(small))
-    return float(min(fid, 1.0))
+    denominator = np.sqrt(big + small) - np.sqrt(small)
+    return [float(min(np.exp(-0.5 * du @ np.linalg.solve(vsum, du)) / denominator, 1.0))
+            for du in (mean_b - mean_a for mean_b in means_b)]
 
 
 def _richardson(values, steps):
@@ -108,18 +111,16 @@ def _richardson(values, steps):
 def fisher_numeric(params, eta):
     """Fisher information from the fidelity decay, lim 8(1 - sqrt F)/eps^2.
 
-    Evaluated through gaussian_fidelity at each of EPSILONS and Richardson
+    Evaluated through the fidelity at each of EPSILONS and Richardson
     extrapolated; small steps are avoided because the quotient cancels
     catastrophically below ~1e-5 in double precision.
     """
     base = lossy_state(params, eta)
     # The shifted states share base's validated covariance and differ from its
-    # mean by [e, 0], so no state is built for them.
-    quotients = []
-    for e in EPSILONS:
-        shifted = base.mean + np.array([e, 0.0])
-        fid = _fidelity(base.mean, base.cov, shifted, base.cov)
-        quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
+    # mean by [e, 0], so no state is built for them and one call serves all three.
+    shifted = [base.mean + np.array([e, 0.0]) for e in EPSILONS]
+    fids = _fidelities(base.mean, base.cov, shifted, base.cov)
+    quotients = [8.0 * (1.0 - np.sqrt(fid)) / e**2 for fid, e in zip(fids, EPSILONS)]
     diffs = np.diff(quotients)
     significant = np.abs(diffs) > 1e-9 * abs(quotients[0])
     if np.any((diffs[:-1] * diffs[1:] < 0) & significant[:-1] & significant[1:]):

@@ -127,10 +127,6 @@ def thermal_populations(nbar, cutoff):
     """Number-basis populations of a thermal state, the diagonal of its density matrix."""
     if not (nbar >= 0):  # nan fails this too
         raise ValueError("thermal occupation must be nonnegative")
-    if nbar == 0:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-        return probs
     ratio = nbar / (nbar + 1.0)
     return ratio ** np.arange(cutoff) / (nbar + 1.0)
 
@@ -188,8 +184,7 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF):
     # S, R and D act on the kept block in turn; none is formed as a matrix.
     probs = thermal_populations(nbar, cutoff)
     kept = int(np.count_nonzero(probs >= np.finfo(float).eps))
-    x = np.zeros((cutoff, kept), dtype=complex)
-    x[np.arange(kept), np.arange(kept)] = np.sqrt(probs[:kept])
+    x = np.eye(cutoff, kept, dtype=complex) * np.sqrt(probs[:kept])
     _apply_generator("squeeze", r, x)
     x *= rotation_phases(theta, cutoff)[:, None]
     _apply_displacement(beta, x)

@@ -153,7 +153,7 @@ class SymplecticTransform:
 
 @dataclass(frozen=True, eq=False)
 class LossChannel:
-    """Pure-loss channels with per-mode transmissivities in [2.2e-308, 1]."""
+    """Pure-loss channels with per-mode transmissivities in [2.2250738585072014e-308, 1]."""
 
     transmissivities: np.ndarray
 

@@ -314,7 +314,8 @@ def test_squeezed_variances_are_exact_to_rounding():
 @pytest.mark.parametrize("eta", [5e-324, 1e-310, np.nextafter(al.TINY, 0.0)])
 def test_network_refuses_a_subnormal_transmissivity(eta):
     # w^2 eta would underflow; the smallest normal float64 itself is accepted.
-    with pytest.raises(ValueError, match=r"transmissivities must lie in \[2.2e-308, 1\]"):
+    with pytest.raises(ValueError,
+                       match=r"transmissivities must lie in \[2\.2250738585072014e-308, 1\]"):
         al.WeightedNetwork(2, None, [eta, eta], 10.0)
     al.WeightedNetwork(2, None, [al.TINY, al.TINY], 10.0)
 

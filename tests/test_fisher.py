@@ -57,6 +57,21 @@ def test_gaussian_fidelity_matches_fock_oracle():
         assert closed == pytest.approx(oracle, abs=1e-6)
 
 
+# A covariance just under the vacuum's determinant puts the purity term below 0: within
+# PURITY_CLAMP that is round-off, clamped to the pure value (unclamped, its square root
+# would warn), and past it the covariance is refused.
+@pytest.mark.parametrize("deficit, error", [(4e-14, None), (4e-11, "violates the purity bound")],
+                         ids=["clamped", "refused"])
+def test_fidelity_near_the_purity_bound(deficit, error):
+    nearly_pure = g.GaussianState(np.zeros(2), np.diag([0.25 - deficit, 0.25]))
+    thermal = g.GaussianState(np.zeros(2), 0.5 * np.eye(2))  # n = 0.5
+    if error is None:
+        assert fi.gaussian_fidelity(nearly_pure, thermal) == pytest.approx(1.0 / 1.5, rel=1e-12)
+    else:
+        with pytest.raises(ValueError, match=error):
+            fi.gaussian_fidelity(nearly_pure, thermal)
+
+
 def test_fisher_numeric_vacuum():
     assert fi.fisher_numeric(fi.SqueezedThermalParams(), 1.0) == pytest.approx(4.0, abs=1e-6)
 
@@ -85,6 +100,13 @@ def test_fisher_numeric_equals_the_route_through_states(rng):
             quotients.append(8.0 * (1.0 - np.sqrt(fid)) / e**2)
         want = fi._richardson(quotients, fi.EPSILONS)
         assert fi.fisher_numeric(params, eta) == want
+
+
+def test_fisher_numeric_refuses_a_quotient_that_turns_back(monkeypatch):
+    # The quotient is 4 - e^2/8 + O(e^4) on vacuum, so steps out of order make it turn back.
+    monkeypatch.setattr(fi, "EPSILONS", (1e-2, 2.5e-3, 5e-3))
+    with pytest.raises(RuntimeError, match="did not converge monotonically"):
+        fi.fisher_numeric(fi.SqueezedThermalParams(), 1.0)
 
 
 def test_fisher_closed_form_spot_values():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -145,7 +146,8 @@ def test_loss_examples():
         g.LossChannel(np.array([1.1]))
     with pytest.raises(ValueError):
         g.LossChannel(np.array([0.5, np.nan]))
-    with pytest.raises(ValueError, match=r"transmissivities must lie in \[2.2e-308, 1\]"):
+    with pytest.raises(ValueError,
+                       match=r"transmissivities must lie in \[2\.2250738585072014e-308, 1\]"):
         g.LossChannel(np.array([0.5, 1e-310]))  # subnormal
     with pytest.raises(ValueError):
         g.apply_loss(g.vacuum_state(2), g.LossChannel(np.array([0.5, 0.5, 0.5])))
@@ -269,7 +271,8 @@ def test_homodyne_rejects_non_physical_marginals(a, top, v):
 
 
 # The frozen dataclasses that hold arrays compare and hash by identity: a generated
-# __eq__ over their arrays would raise instead of answering.
+# __eq__ over their arrays would raise instead of answering. Their fields and arrays
+# cannot be assigned.
 @pytest.mark.parametrize("make", [
     lambda: g.coherent_state(0.5),
     lambda: g.SymplecticTransform(np.eye(2)),
@@ -278,12 +281,18 @@ def test_homodyne_rejects_non_physical_marginals(a, top, v):
     lambda: al.WeightedNetwork(2, None, 0.9, 1.0),
     lambda: fisher.SqueezedThermalParams(r=0.5),
     lambda: pr.SensorNetworkConfig(2, 1.0),
+    lambda: al.allocate_photons_product(al.WeightedNetwork(2, None, [0.9, 0.5], 1.0)),
 ], ids=["GaussianState", "SymplecticTransform", "LossChannel", "FockOperator",
-        "WeightedNetwork", "SqueezedThermalParams", "SensorNetworkConfig"])
+        "WeightedNetwork", "SqueezedThermalParams", "SensorNetworkConfig", "AllocationResult"])
 def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+    name = dataclasses.fields(a)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, name, getattr(b, name))
+    arrays = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(v.flags.writeable for v in arrays)
 
 
 def test_state_validation():
@@ -310,6 +319,18 @@ def test_state_takes_its_mode_count_from_the_mean():
 def test_state_rejects_non_finite_entries(mean, cov):
     with pytest.raises(ValueError, match="finite"):
         g.GaussianState(mean, cov)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: g.GaussianState(np.zeros(3), 0.25 * np.eye(3)), "flat vector of even length"),
+    (lambda: g.GaussianState(np.zeros(2), 0.25 * np.eye(4)), "does not match mean length"),
+    (lambda: g.SymplecticTransform(np.eye(2, 4)), "square with even dimension"),
+    (lambda: fisher.SqueezedThermalParams(mean=[0, 0, 0]), "mean must be a 2-vector"),
+    (lambda: al.squeezed_variances(1, "y"), "axis must be 'x' or 'p'"),
+], ids=["odd-mean", "mismatched-cov", "non-square-transform", "params-mean", "axis"])
+def test_malformed_shapes_and_axes_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_transform_rejects_nan_matrix():

@@ -31,7 +31,7 @@ TINY = allocation.TINY  # the smallest normal float64, the smallest transmissivi
 SEED_MAX = protocols.SEED_MAX
 OK, CAP = (0, ""), (0, f"warning: {protocols.SQUEEZING_CAP_NOTE}")
 ABOVE_CAP = float(np.nextafter(1e4, inf))  # the first N_S past the 40 dB squeezing cap
-BAD_ETA = (1, "transmissivities must lie in [2.2e-308, 1]")
+BAD_ETA = (1, "transmissivities must lie in [2.2250738585072014e-308, 1]")
 BAD_BUDGET = (1, "photon budget must be finite and nonnegative")
 BAD_SEED = (1, f"must lie in [0, {SEED_MAX}]")
 SAMPLER_BOUND = (1, "exceeds the sampler bound 1e+20")
@@ -200,6 +200,8 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
     ("phase-negative-seed", PHASE, SMALL_PHASE + "seed = -1\n", 1,
      "{cfg}:6: bad value for 'seed': must lie in [0, 4294967295]"),
     ("phase-seed-2^32", PHASE, SMALL_PHASE + f"seed = {2**32}\n", *BAD_SEED),
+    ("phase-zero-trials", PHASE + " --trials 0", SMALL_PHASE, 1,
+     "error: {cfg}: trial count must be positive"),
     *((f"phase-M={m}", PHASE, SMALL_PHASE.replace("M = 2", f"M = {m}"), 1,
        "number of nodes must be >= 1") for m in ("0", "-3")),
     *((f"phase-N_v={n_v}", PHASE, SMALL_PHASE.replace("N_v = 100", f"N_v = {n_v}"), 1,
