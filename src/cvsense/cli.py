@@ -47,9 +47,7 @@ class StatisticalFailure(Exception):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
 def _fmt_vector(values):
@@ -117,6 +115,7 @@ def _number(kind, low, high=None, low_open=False):
 PHOTONS = _number(float, 0.0)
 ETA = _number(float, 0.0, 1.0, low_open=True)
 NODES = _number(int, 1)
+_TRIALS = _number(int, 1)
 
 
 def _seed(value):
@@ -135,14 +134,22 @@ def _float_list(value):
 # -- config parsing -------------------------------------------------------
 
 
-def parse_config(path, scalar_keys, case_keys=None):
-    """Flat key = value schema with optional repeated [case] sections.
+# A config key: its value type, the library keyword it feeds, whether a config must give it,
+# its default where the library has none, and the sections it may appear in: "file", "case".
+_Key = namedtuple("_Key", "convert name required default sections",
+                  defaults=(False, None, ("file",)))
+_SEED_KEY = _Key(_seed, "seed", default=0)
 
-    Unknown keys are hard errors, reported with their line number.
+
+def parse_config(path, keys, **options):
+    """Read a flat `key = value` config with optional repeated [case] sections into the
+    keywords of the library call that `keys` feeds: one dict per [case], else a single one.
+
+    A given option beats a [case] value, which beats the file-level value, which beats the
+    key's default; a key with none is not passed, so the library's default holds.
     """
-    scalars = {}
-    cases = []
-    current = None
+    takes_cases = any("case" in key.sections for key in keys.values())
+    sections = [{}]  # the file level, then one per [case]
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -152,25 +159,36 @@ def parse_config(path, scalar_keys, case_keys=None):
         if not line:
             continue
         if line == "[case]":
-            if case_keys is None:
+            if not takes_cases:
                 raise UsageError(f"{path}:{lineno}: [case] sections not allowed here")
-            current = {}
-            cases.append(current)
+            sections.append({})
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        table = scalar_keys if current is None else case_keys
-        target = scalars if current is None else current
-        if key not in table:
+        target = sections[-1]
+        if key not in keys or ("case" if len(sections) > 1 else "file") not in keys[key].sections:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in target:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            target[key] = table[key](value)
+            target[key] = keys[key].convert(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {exc}")
-    return scalars, cases
+    file_level, *cases = sections
+    if takes_cases and not cases:
+        raise UsageError(f"{path}: no [case] sections")
+    defaults = {key: spec.default for key, spec in keys.items()}
+    runs = []
+    for index, case in enumerate(cases or [{}]):
+        # A later layer wins; None (an option not given, no default) is no value.
+        values = {key: value for layer in (defaults, file_level, case, options)
+                  for key, value in layer.items() if value is not None}
+        for key, spec in keys.items():
+            if spec.required and key not in values:
+                raise UsageError(f"{path}: {f'case {index}: ' if cases else ''}missing key {key!r}")
+        runs.append({keys[key].name: value for key, value in values.items()})
+    return runs
 
 
 # -- the command table ----------------------------------------------------
@@ -264,10 +282,15 @@ def cmd_ratio_curve(mode, total_photons, etas, node_counts, m_min, m_max, loss_d
     return Result(header, rows, None, (protocols.EIGHT_DB_NOTE,))
 
 
-_MC_SCALARS = {"seed": _seed, "trials": int}
-_MC_CASE = {
-    "M": int, "N_S": float, "eta": _float_list, "weights": _float_list,
-    "scheme": str, "alpha": float, "trials": int,
+_MONTE_CARLO_KEYS = {
+    "seed": _SEED_KEY,
+    "trials": _Key(_TRIALS, "trials", sections=("file", "case")),
+    "M": _Key(int, "num_nodes", required=True, sections=("case",)),
+    "N_S": _Key(float, "total_photons", required=True, sections=("case",)),
+    "eta": _Key(_float_list, "eta", sections=("case",)),
+    "weights": _Key(_float_list, "weights", sections=("case",)),
+    "scheme": _Key(str, "scheme", sections=("case",)),
+    "alpha": _Key(float, "alpha_true", sections=("case",)),
 }
 
 
@@ -275,38 +298,22 @@ _MC_CASE = {
     "monte-carlo",
     CONFIG,
     Option("--seed", "seed", _seed, None, "Override the config seed."),
-    Option("--trials", "trials", int, None, "Override per-case trial counts."),
+    Option("--trials", "trials", _TRIALS, None, "Override per-case trial counts."),
 )
 def cmd_monte_carlo(config_path, seed, trials):
     """Monte Carlo validation of the closed-form rms errors; exit 2 on a 4-sigma miss."""
     from . import protocols
 
-    scalars, cases = parse_config(config_path, _MC_SCALARS, _MC_CASE)
-    if not cases:
-        raise ValueError("no [case] sections")
-    base_seed = seed if seed is not None else scalars.get("seed", 0)
+    cases = parse_config(config_path, _MONTE_CARLO_KEYS, seed=seed, trials=trials)
     rows = []
-    all_pass = True
     for index, case in enumerate(cases):
-        case_trials = trials if trials is not None else case.get(
-            "trials", scalars.get("trials", protocols.DEFAULT_TRIALS))
         try:
-            cfg = protocols.SensorNetworkConfig(
-                num_nodes=case["M"],
-                total_photons=case["N_S"],
-                eta=case.get("eta", 1.0),
-                weights=case.get("weights"),
-                scheme=case.get("scheme", "entangled"),
-                alpha_true=case.get("alpha", 0.0),
-                seed=(base_seed, index),
-                trials=case_trials,
-            )
+            cfg = protocols.SensorNetworkConfig(**{**case, "seed": (case["seed"], index)})
             report = protocols.simulate_displacement_protocol(cfg)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"case {index}: {_reason(exc)}") from exc
+        except ValueError as exc:
+            raise ValueError(f"case {index}: {exc}") from exc
         sigmas = report.agreement_sigmas()
         status = "PASS" if sigmas < 4.0 else "FAIL"
-        all_pass &= status == "PASS"
         rows.append((
             index, cfg.scheme, cfg.num_nodes, cfg.total_photons,
             _fmt_vector(cfg.eta[:1] if np.all(cfg.eta == cfg.eta[0]) else cfg.eta),
@@ -315,11 +322,16 @@ def cmd_monte_carlo(config_path, seed, trials):
         ))
     header = ["case", "scheme", "M", "N_S", "eta", "alpha", "trials", "empirical_mean",
               "empirical_rms", "rms_standard_error", "analytic_rms", "sigma_gap", "status"]
-    failure = None if all_pass else "one or more cases missed the analytic rms by >= 4 sigma"
-    return Result(header, rows, base_seed, failure=failure)
+    failure = (None if all(row[-1] == "PASS" for row in rows)
+               else "one or more cases missed the analytic rms by >= 4 sigma")
+    return Result(header, rows, cases[0]["seed"], failure=failure)
 
 
-_WEIGHTED_SCALARS = {"N_S": float, "etas": _float_list, "weights": _float_list}
+_WEIGHTED_KEYS = {
+    "N_S": _Key(float, "total_photons", required=True),
+    "etas": _Key(_float_list, "etas", required=True),
+    "weights": _Key(_float_list, "weights"),
+}
 
 
 @command("weighted", CONFIG)
@@ -327,9 +339,9 @@ def cmd_weighted(config_path):
     """Heterogeneous-network closed forms, photon allocation and weight optimization."""
     from . import allocation
 
-    scalars, _ = parse_config(config_path, _WEIGHTED_SCALARS)
+    [run] = parse_config(config_path, _WEIGHTED_KEYS)
     net = allocation.WeightedNetwork(
-        len(scalars["etas"]), scalars.get("weights"), scalars["etas"], scalars["N_S"])
+        len(run["etas"]), run.get("weights"), run["etas"], run["total_photons"])
     etas, n_s = net.etas, net.total_photons
     alloc = allocation.allocate_photons_product(net)
     w_opt = allocation.optimal_weights_entangled(etas, n_s)
@@ -360,15 +372,9 @@ def cmd_fisher(draws, seed):
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
-    cases = [fisher.SqueezedThermalParams()]  # vacuum reference row
-    for _ in range(draws):
-        cases.append(
-            fisher.SqueezedThermalParams(
-                r=rng.uniform(0.0, 1.5),
-                n=rng.uniform(0.0, 1.0),
-                theta=rng.uniform(0.0, np.pi),
-            )
-        )
+    cases = [fisher.SqueezedThermalParams()] + [  # the vacuum reference row, then the draws
+        fisher.SqueezedThermalParams(r=rng.uniform(0.0, 1.5), n=rng.uniform(0.0, 1.0),
+                                     theta=rng.uniform(0.0, np.pi)) for _ in range(draws)]
     eta_cycle = (1.0, 0.8, 0.5)
     for i, params in enumerate(cases):
         eta = 1.0 if i == 0 else eta_cycle[i % len(eta_cycle)]
@@ -388,9 +394,14 @@ def cmd_fisher(draws, seed):
     return Result(header, rows, seed)
 
 
-_PHASE_SCALARS = {
-    "M": int, "N_S": float, "N_v": float, "eta": float,
-    "dphi": _float_list, "trials": int, "seed": _seed,
+_PHASE_KEYS = {
+    "M": _Key(int, "num_nodes", required=True),
+    "N_S": _Key(float, "total_photons", required=True),
+    "N_v": _Key(float, "ancilla_photons", required=True),
+    "eta": _Key(float, "eta", default=1.0),
+    "dphi": _Key(_float_list, "dphi", required=True),
+    "trials": _Key(_TRIALS, "trials"),
+    "seed": _SEED_KEY,
 }
 
 
@@ -398,32 +409,25 @@ _PHASE_SCALARS = {
     "phase",
     CONFIG,
     Option("--seed", "seed", _seed, None, "Override the config seed."),
-    Option("--trials", "trials", int, None, "Override the config trial count."),
+    Option("--trials", "trials", _TRIALS, None, "Override the config trial count."),
 )
 def cmd_phase(config_path, seed, trials):
     """Mach-Zehnder network sweep: empirical vs linearized rms and residuals."""
     from . import protocols
 
-    scalars, _ = parse_config(config_path, _PHASE_SCALARS)
-    m, n_s, n_v, dphis = scalars["M"], scalars["N_S"], scalars["N_v"], scalars["dphi"]
-    eta = scalars.get("eta", 1.0)
-    run_trials = trials if trials is not None else scalars.get("trials", protocols.DEFAULT_TRIALS)
-    run_seed = seed if seed is not None else scalars.get("seed", 0)
+    [run] = parse_config(config_path, _PHASE_KEYS, seed=seed, trials=trials)
+    dphis, run_seed = run.pop("dphi"), run.pop("seed")
     if not dphis:
         raise ValueError("dphi lists no phase shift")
+    network = {key: value for key, value in run.items() if key != "trials"}
     rows = []
     for index, dphi in enumerate(dphis):
-        report = protocols.simulate_phase_protocol(
-            m, n_s, n_v, eta, dphi, run_trials, (run_seed, index)
-        )
-        exact_rms = protocols.phase_exact_stats(m, n_s, n_v, eta, dphi)[2]
+        report = protocols.simulate_phase_protocol(**run, dphi_true=dphi, seed=(run_seed, index))
+        exact_rms = protocols.phase_exact_stats(**network, dphi=dphi)[2]
         linearized = report.analytic_rms
-        rows.append((
-            dphi, report.trials, report.empirical_mean,
-            report.empirical_mean - dphi, report.empirical_rms_error,
-            report.rms_standard_error, linearized, exact_rms,
-            abs(exact_rms - linearized),
-        ))
+        rows.append((dphi, report.trials, report.empirical_mean, report.empirical_mean - dphi,
+                     report.empirical_rms_error, report.rms_standard_error, linearized,
+                     exact_rms, abs(exact_rms - linearized)))
     header = ["dphi", "trials", "empirical_mean", "bias", "empirical_rms",
               "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"]
     return Result(header, rows, run_seed)
@@ -484,15 +488,10 @@ def manifest_to_argv(manifest, out_path):
     return argv
 
 
-def _reason(exc):
-    """A config or domain error's message: a KeyError names a config key the command needs."""
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
 def _run(argv):
     """Parse and run one command, then write its CSV and manifest.
 
-    The command's KeyError or ValueError becomes a UsageError naming its config. Each
+    The command's ValueError becomes a UsageError naming its config. Each
     distinct warning it raised is printed once and noted once, after its own notes.
     """
     try:
@@ -505,9 +504,9 @@ def _run(argv):
         warnings.simplefilter("always", UserWarning)
         try:
             result = COMMANDS[name].run(**args)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             where = f"{args['config_path']}: " if "config_path" in args else ""
-            raise UsageError(where + _reason(exc)) from exc
+            raise UsageError(f"{where}{exc}") from exc
         finally:
             raised = list(dict.fromkeys(str(w.message) for w in caught))
             for text in raised:

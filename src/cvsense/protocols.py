@@ -94,6 +94,11 @@ def sensitivity_ratio_db(num_nodes, total_photons, eta):
 # -- Monte Carlo campaign -------------------------------------------------
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError("trial count must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class SensorNetworkConfig:
     """Single source of truth for a displacement-sensing protocol run."""
@@ -110,8 +115,7 @@ class SensorNetworkConfig:
     def __post_init__(self):
         if self.scheme not in ("entangled", "product"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.trials < 1:
-            raise ValueError("trial count must be positive")
+        _check_trials(self.trials)
         if not np.isfinite(self.alpha_true):
             raise ValueError("alpha_true must be finite")
         # The network checks the nodes, weights, etas and budget and fills in their defaults.
@@ -348,10 +352,8 @@ def phase_rms_error(num_nodes, total_photons, ancilla_photons, eta):
     """Linearized rms error of the distributed Mach-Zehnder phase estimator."""
     if not (0 < ancilla_photons < np.inf):  # nan fails this too
         raise ValueError("coherent drive photon number must be finite and positive")
-    return float(
-        2.0 * entangled_rms_error(num_nodes, total_photons, eta)
-        / np.sqrt(ancilla_photons)
-    )
+    return float(2.0 * entangled_rms_error(num_nodes, total_photons, eta)
+                 / np.sqrt(ancilla_photons))
 
 
 def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
@@ -389,16 +391,14 @@ def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
     return float(est_mean), float(est_sd), float(rms)
 
 
-def simulate_phase_protocol(
-    num_nodes, total_photons, ancilla_photons, eta, dphi_true, trials, seed
-):
+def simulate_phase_protocol(num_nodes, total_photons, ancilla_photons, eta, dphi_true,
+                            trials=DEFAULT_TRIALS, seed=0):
     """Monte Carlo over the exact Mach-Zehnder network; p-quadrature homodyne."""
     if not (abs(dphi_true) < PHASE_LINEARIZATION_GUARD):  # nan fails this too
         raise ValueError(
             f"|dphi| must be below the linearization guard {PHASE_LINEARIZATION_GUARD}"
         )
-    if trials < 1:
-        raise ValueError("trial count must be positive")
+    _check_trials(trials)
     analytic_rms = phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain first
     marginal = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
     return _run_campaign(*marginal, target=dphi_true, trials=trials, seed=seed,

@@ -136,6 +136,19 @@ def test_a_config_with_no_trials_runs_the_default_count(tmp_path, command, confi
     assert [r["trials"] for r in csv_rows(out)[1]] == [str(protocols.DEFAULT_TRIALS)] == ["100000"]
 
 
+@pytest.mark.parametrize("options, seed, trials", [
+    ([], 7, ["30", "20"]),
+    (["--seed", 3, "--trials", 10], 3, ["10", "10"]),
+], ids=["config", "options"])
+def test_options_beat_cases_which_beat_the_file_level(tmp_path, options, seed, trials):
+    cfg, out = tmp_path / "layers.cfg", tmp_path / "out.csv"
+    cfg.write_text("seed = 7\ntrials = 30\n[case]\nM = 2\nN_S = 1\n"
+                   "[case]\nM = 2\nN_S = 1\ntrials = 20\n")
+    assert run(["monte-carlo", "--config", cfg, *options, "--out", out]) == 0
+    assert manifest(out)["seed"] == seed
+    assert [r["trials"] for r in csv_rows(out)[1]] == trials
+
+
 def test_weighted_command(tmp_path, configs_dir):
     out = tmp_path / "weighted.csv"
     assert run(["weighted", "--config", configs_dir / "weighted_m2.cfg", "--out", out]) == 0

@@ -178,7 +178,11 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
      "{cfg}:5: duplicate key 'M'"),
     ("monte-carlo-no-equals", MC, "[case]\nM 2\n", 1, "{cfg}:2: expected 'key = value'"),
     ("monte-carlo-zero-trials", MC, "seed = 1\ntrials = 0\n[case]\nM = 2\nN_S = 1.0\n", 1,
-     "case 0: trial count must be positive"),
+     "{cfg}:2: bad value for 'trials': '0' is not a finite int >= 1"),
+    ("monte-carlo-option-zero-trials", MC + " --trials 0", SMALL_MC, 1,
+     "argument --trials: '0' is not a finite int >= 1"),
+    ("monte-carlo-missing-M", MC, "[case]\nN_S = 1\ntrials = 10\n", 1,
+     "error: {cfg}: case 0: missing key 'M'"),
     ("monte-carlo-negative-seed", MC, "seed = -1\n" + SMALL_MC, 1,
      "{cfg}:1: bad value for 'seed': must lie in [0, 4294967295]"),
     ("monte-carlo-seed-2^32", MC, f"seed = {2**32}\n" + SMALL_MC, *BAD_SEED),
@@ -201,7 +205,9 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
      "{cfg}:6: bad value for 'seed': must lie in [0, 4294967295]"),
     ("phase-seed-2^32", PHASE, SMALL_PHASE + f"seed = {2**32}\n", *BAD_SEED),
     ("phase-zero-trials", PHASE + " --trials 0", SMALL_PHASE, 1,
-     "error: {cfg}: trial count must be positive"),
+     "argument --trials: '0' is not a finite int >= 1"),
+    ("phase-missing-N_S", PHASE, SMALL_PHASE.replace("N_S = 1\n", ""), 1,
+     "error: {cfg}: missing key 'N_S'"),
     *((f"phase-M={m}", PHASE, SMALL_PHASE.replace("M = 2", f"M = {m}"), 1,
        "number of nodes must be >= 1") for m in ("0", "-3")),
     *((f"phase-N_v={n_v}", PHASE, SMALL_PHASE.replace("N_v = 100", f"N_v = {n_v}"), 1,
@@ -224,6 +230,8 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
      "{cfg}:6: unknown key 'alpha'"),
     ("weighted-negative-budget", WEIGHTED, "N_S = -1\netas = 0.9, 0.3\n", *BAD_BUDGET),
     ("weighted-no-etas", WEIGHTED, "N_S = 4\netas =\n", 1, "number of nodes must be >= 1"),
+    ("weighted-missing-etas", WEIGHTED, "N_S = 4\nweights = 1\n", 1,
+     "error: {cfg}: missing key 'etas'"),
     ("weighted-case-section", WEIGHTED, "[case]\nN_S = 4\netas = 1\n", 1,
      "{cfg}:1: [case] sections not allowed here"),
     ("weighted-duplicate-key", WEIGHTED, "N_S = 4\nN_S = 5\netas = 1\n", 1,

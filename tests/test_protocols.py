@@ -262,9 +262,9 @@ def test_weighted_product_optima_match_the_sampler():
     # An independent route for the weighted command's product rows: each optimum's
     # per-node photons and weights, sampled as independent nodes (variance
     # noise_kernel(eta_m, n_m)/4 each, unit = 0), meet its rms within 4 sigma.
-    scalars, _ = cli.parse_config(CONFIGS / "weighted_m2.cfg", cli._WEIGHTED_SCALARS)
-    etas, n_s = np.asarray(scalars["etas"]), scalars["N_S"]
-    net = al.WeightedNetwork(etas.size, scalars["weights"], etas, n_s)
+    [run] = cli.parse_config(CONFIGS / "weighted_m2.cfg", cli._WEIGHTED_KEYS)
+    etas, n_s = np.asarray(run["etas"]), run["total_photons"]
+    net = al.WeightedNetwork(etas.size, run["weights"], etas, n_s)
     alloc = al.allocate_photons_product(net)
     w_opt, alloc_opt = al.optimal_weights_product(etas, n_s)
     for weights, result in ((net.weights, alloc), (w_opt, alloc_opt)):
