@@ -22,7 +22,7 @@ TINY = sys.float_info.min  # the smallest normal float64
 
 # Each check takes a scalar or an array; nan fails it, as every comparison with nan is false.
 def _check_nodes(num_nodes):
-    if not np.all(np.asarray(num_nodes) >= 1):
+    if not (np.asarray(num_nodes) >= 1).all():
         raise ValueError("number of nodes must be >= 1")
 
 
@@ -30,13 +30,13 @@ def _check_etas(etas):
     # eta = 0 is excluded (model a dead node with weight 0), and so is a subnormal eta,
     # whose w^2 eta underflows.
     etas = np.asarray(etas, dtype=float)
-    if not np.all((etas >= TINY) & (etas <= 1.0)):
+    if not ((etas >= TINY) & (etas <= 1.0)).all():
         raise ValueError(f"transmissivities must lie in [{TINY!r}, 1]")
 
 
 def _check_budget(total_photons):
     photons = np.asarray(total_photons, dtype=float)
-    if not np.all((photons >= 0.0) & (photons < np.inf)):
+    if not ((photons >= 0.0) & (photons < np.inf)).all():
         raise ValueError("photon budget must be finite and nonnegative")
 
 
@@ -62,7 +62,7 @@ class WeightedNetwork:
             etas = np.full(m, etas.item())
         if w.size != m or etas.size != m:
             raise ValueError("weights and etas must have length num_nodes")
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):  # nan fails too
+        if not ((w >= 0.0).all() and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):  # nan fails too
             raise ValueError("weights must be nonnegative and sum to 1")
         _check_etas(etas)
         _check_budget(self.total_photons)

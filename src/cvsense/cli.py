@@ -36,6 +36,12 @@ MANIFEST_SCHEMA = 2
 # Most random draws one fisher sweep takes. Each costs about 0.2 ms (2-CPU x86-64 host)
 # and holds its CSV row in memory until the end, so the largest sweep runs in about 20 s.
 FISHER_MAX_DRAWS = 100_000
+# Most trials one campaign takes: a monte-carlo case or a phase shift, from --trials or a
+# config's trials. A trial costs about 40 ns a node at M <= 4 (one thread, 2-CPU x86-64
+# host), so a small network's largest campaign takes about 4-7 s. Its per-chunk sums hold
+# 16 bytes for each chunk of max(1, 2^15 // M) trials: 0.2 MB at M = 4, and 1.6 GB only
+# where a chunk is a single trial (M >= 2^15), whose run the node count already rules out.
+CAMPAIGN_MAX_TRIALS = 10**8
 
 
 class UsageError(Exception):
@@ -115,7 +121,7 @@ def _number(kind, low, high=None, low_open=False):
 PHOTONS = _number(float, 0.0)
 ETA = _number(float, 0.0, 1.0, low_open=True)
 NODES = _number(int, 1)
-_TRIALS = _number(int, 1)
+_TRIALS = _number(int, 1, CAMPAIGN_MAX_TRIALS)
 
 
 def _seed(value):
@@ -298,7 +304,8 @@ _MONTE_CARLO_KEYS = {
     "monte-carlo",
     CONFIG,
     Option("--seed", "seed", _seed, None, "Override the config seed."),
-    Option("--trials", "trials", _TRIALS, None, "Override per-case trial counts."),
+    Option("--trials", "trials", _TRIALS, None,
+           f"Override per-case trial counts, at most {CAMPAIGN_MAX_TRIALS}."),
 )
 def cmd_monte_carlo(config_path, seed, trials):
     """Monte Carlo validation of the closed-form rms errors; exit 2 on a 4-sigma miss."""
@@ -409,7 +416,8 @@ _PHASE_KEYS = {
     "phase",
     CONFIG,
     Option("--seed", "seed", _seed, None, "Override the config seed."),
-    Option("--trials", "trials", _TRIALS, None, "Override the config trial count."),
+    Option("--trials", "trials", _TRIALS, None,
+           f"Override the config trial count, at most {CAMPAIGN_MAX_TRIALS}."),
 )
 def cmd_phase(config_path, seed, trials):
     """Mach-Zehnder network sweep: empirical vs linearized rms and residuals."""

@@ -14,6 +14,7 @@ tau the sum of a state's dropped sqrt(p_k).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,18 +100,12 @@ def _apply_generator(kind, t, block):
     return block
 
 
-def _apply_displacement(beta, block):
-    """D(beta) @ block in place, D(beta) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
-    phase = np.exp(1j * np.angle(beta) * np.arange(block.shape[0]))
-    block *= phase.conj()[:, None]
-    _apply_generator("displacement", abs(beta), block)
-    block *= phase[:, None]
-    return block
-
-
 def displacement_operator(beta, cutoff):
-    """exp(beta a^dag - beta* a) in the number basis."""
-    return _apply_displacement(beta, np.eye(cutoff, dtype=complex))
+    """exp(beta a^dag - beta* a) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
+    phase = np.exp(1j * np.angle(beta) * np.arange(cutoff))
+    op = _apply_generator("displacement", abs(beta), np.diag(phase.conj()))
+    op *= phase[:, None]
+    return op
 
 
 def squeeze_operator(r, cutoff):
@@ -151,11 +146,26 @@ def _check_truncation(op):
         )
 
 
+def _squeezed_thermal_form(cov):
+    """(nbar, r, theta) with cov = (2 nbar + 1)/4 R diag(exp(-2r), exp(2r)) R^T, in floats.
+
+    R = [[c, s], [-s, c]] at theta, so squeeze_operator(r) then rotation_phases(theta)
+    squeezes the quadrature along (cos theta, -sin theta). For cov = [[a, b], [b, c]] the
+    eigenvalues are lam2 = (a + c)/2 + hypot((a - c)/2, b) and lam1 = det/lam2, and the
+    minor axis lies at -theta with theta = atan2(2b, c - a)/2.
+    """
+    (a, b), (_, c) = cov.tolist()
+    det = a * c - b * b
+    lam2 = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    nbar = max(0.0, 2.0 * math.sqrt(det) - 0.5)  # (nu - 1)/2, nu = 4 sqrt(det) is 1 when pure
+    return nbar, 0.25 * math.log(lam2 * lam2 / det), 0.5 * math.atan2(2.0 * b, c - a)
+
+
 def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF):
     """Number-basis density matrix of a single-mode Gaussian state, as its factor.
 
     Built as X X^dag with X = D(beta) R(theta) S(r) sqrt(rho_thermal) from
-    the covariance eigendecomposition, keeping X as the operator's factor.
+    _squeezed_thermal_form, keeping X as the operator's factor.
     X holds the columns with thermal population p_k >= float64 eps only; the
     dropped columns, sum of norms tau < sqrt(eps)/(1 - sqrt(nbar/(nbar+1))),
     move fock_fidelity by at most 2 tau.  Raises when the truncation leaks
@@ -166,28 +176,33 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF):
         raise ValueError("Fock oracle handles single-mode states only")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    cov = state.cov
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    lam1, lam2 = eigvals  # ascending: lam1 = nu*exp(-2r)/4, lam2 = nu*exp(2r)/4
-    nu = 4.0 * np.sqrt(lam1 * lam2)  # symplectic eigenvalue scaled to 1 for pure
-    nbar = max(0.0, (nu - 1.0) / 2.0)
-    r = 0.25 * np.log(lam2 / lam1)
-    v1 = eigvecs[:, 0]
-    theta = float(np.arctan2(-v1[1], v1[0]))
-    beta = state.mean[0] + 1j * state.mean[1]
+    nbar, r, theta = _squeezed_thermal_form(state.cov)
+    mean_x, mean_p = state.mean.tolist()
+    phi = math.atan2(mean_p, mean_x)  # arg(beta), beta = mean_x + 1j mean_p
 
     # The populations p_k = (1 - q) q^k, q = nbar/(nbar + 1), fall with k,
     # so the kept columns are the first K, and the dropped tail holds
     # q^K < eps (nbar + 1) of probability: rho moves only at rounding.  The
     # dropped columns are orthogonal with norms sqrt(p_k), so the trace
     # norm of Y^dag X moves by at most tau for any factor Y of norm <= 1.
-    # S, R and D act on the kept block in turn; none is formed as a matrix.
     probs = thermal_populations(nbar, cutoff)
     kept = int(np.count_nonzero(probs >= np.finfo(float).eps))
-    x = np.eye(cutoff, kept, dtype=complex) * np.sqrt(probs[:kept])
-    _apply_generator("squeeze", r, x)
-    x *= rotation_phases(theta, cutoff)[:, None]
-    _apply_displacement(beta, x)
+    # With S = g_s W_s E_s W_s^T g_s*, R = diag(exp(-i theta n)) and D = P g_d W_d E_d W_d^T
+    # g_d* P* (_generator_eigh, displacement_operator), X is one chain: W_s^T g_s* sqrt(p)
+    # scales the columns of W_s's first K rows, the four diagonals g_d* P* R g_s between
+    # the two eigenbases are one phase vector, and three real products on the block's
+    # (re, im) view remain. No operator is formed as a matrix.
+    mu_s, g_s, w_s = _generator_eigh("squeeze", cutoff)
+    mu_d, g_d, w_d = _generator_eigh("displacement", cutoff)
+    n = np.arange(cutoff)
+    x = np.exp(-1j * r * mu_s)[:, None] * (g_s[:kept].conj() * np.sqrt(probs[:kept]))
+    x *= w_s[:kept].T
+    x = (w_s @ x.view(float)).view(complex)
+    x *= (g_s * g_d.conj() * np.exp(-1j * (theta + phi) * n))[:, None]
+    x = (w_d.T @ x.view(float)).view(complex)
+    x *= np.exp(-1j * math.hypot(mean_x, mean_p) * mu_d)[:, None]
+    x = (w_d @ x.view(float)).view(complex)
+    x *= (g_d * np.exp(1j * phi * n))[:, None]
     op = FockOperator(x)
     _check_truncation(op)
     return op

@@ -7,6 +7,7 @@ is I/4 (so x = Re(a), p = Im(a) and Var_vac(x) = 1/4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,14 @@ def _checked_covariance(cov, m):
     at round-off and report the eigenvalue. The caller's cov is only read.
     """
     n = 2 * m
-    # Each tolerance test is written so that nan fails it; the largest
-    # entry is nan or inf when any entry is.
+    # Each tolerance test is written so that nan fails it; the largest entry is nan or inf
+    # when any entry is. cov - cov^T is antisymmetric, so its largest entry is its largest
+    # magnitude; it is formed only from finite entries, which cannot warn.
     largest = np.abs(cov).max()
     symmetric = False
-    if np.isfinite(largest):
+    if math.isfinite(largest):
         herm = np.subtract(cov, cov.T)
-        symmetric = np.abs(herm, out=herm).max() <= SYMMETRY_RTOL * max(1.0, largest)
+        symmetric = herm.max() <= SYMMETRY_RTOL * max(1.0, largest)
     if not symmetric:
         raise ValueError("covariance matrix is not finite and symmetric")
     sym = cov + cov.T
@@ -134,14 +136,16 @@ class SymplecticTransform:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 != 0:
             raise ValueError("transform matrix must be square with even dimension")
-        m = mat.shape[0] // 2
-        # S Omega S^T = P - P^T with P = S[:, :m] S[:, m:]^T; it must equal Omega.
+        n = mat.shape[0]
+        m = n // 2
+        # S Omega S^T = P - P^T with P = S[:, :m] S[:, m:]^T; it must equal Omega. The gap
+        # P - P^T - Omega is antisymmetric, so its largest entry is its largest magnitude.
         half = mat[:, :m] @ mat[:, m:].T
         gap = half - half.T
-        idx = np.arange(m)
-        gap[idx, idx + m] -= 1.0
-        gap[idx + m, idx] += 1.0
-        if not (np.abs(gap).max() <= SYMPLECTIC_TOL):  # nan fails this too
+        flat = gap.reshape(-1)
+        flat[m : n * m : n + 1] -= 1.0  # Omega's (i, m + i) entries
+        flat[n * m :: n + 1] += 1.0  # and its (m + i, i) entries
+        if not (gap.max() <= SYMPLECTIC_TOL):  # nan fails this too
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "matrix", mat)
         self.matrix.setflags(write=False)
@@ -290,9 +294,9 @@ def build_entangled_input(num_nodes, total_photons, axis="x", splitter=None):
     _check_nodes(num_nodes)
     # Squeezed vacuum in mode 0, vacuum elsewhere: one diagonal state, the
     # covariance of tensor(squeezed_vacuum, vacuum_state(M - 1)).
-    cov = 0.25 * np.eye(2 * num_nodes)
-    cov[0, 0], cov[num_nodes, num_nodes] = squeezed_variances(total_photons, axis)
-    state = GaussianState(np.zeros(2 * num_nodes), cov)
+    variances = np.full(2 * num_nodes, 0.25)
+    variances[0], variances[num_nodes] = squeezed_variances(total_photons, axis)
+    state = GaussianState(np.zeros(2 * num_nodes), np.diag(variances))
     if splitter is None:
         splitter = balanced_splitter(num_nodes)
     return apply_symplectic(state, splitter)

@@ -121,17 +121,18 @@ def test_fisher_closed_form_spot_values():
 
 
 def test_fisher_closed_form_is_inverse_x_variance():
-    # I equals the xx entry of the inverse output covariance (vacuum: 4).
+    # I equals the xx entry of the inverse output covariance (vacuum: 4), through the
+    # validated state and np.linalg.inv.
     rng = np.random.default_rng(12)
-    for _ in range(10):
+    worst = 0.0
+    for _ in range(20_000):
         p = fi.SqueezedThermalParams(
             r=rng.uniform(0, 2.0), n=rng.uniform(0, 1.0), theta=rng.uniform(0, np.pi)
         )
         eta = rng.uniform(0.2, 1.0)
-        cov = fi.lossy_state(p, eta).cov
-        assert fi.fisher_closed_form(p, eta) == pytest.approx(
-            np.linalg.inv(cov)[0, 0], rel=1e-10
-        )
+        want = np.linalg.inv(fi.lossy_state(p, eta).cov)[0, 0]
+        worst = max(worst, abs(fi.fisher_closed_form(p, eta) / want - 1.0))
+    assert worst <= 1e-12
 
 
 def test_fisher_numeric_matches_closed_form():
@@ -204,3 +205,105 @@ _SQUEEZED = fi.SqueezedThermalParams(r=1.0)
 def test_domain_checks_reject_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# -- the single-mode 2x2 algebra in floats against its np.linalg route ------------------
+
+
+def _linalg_covariance(r, n, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, s], [-s, c]])
+    return rot @ np.diag([(2 * n + 1) * np.exp(-r) / 4.0, (2 * n + 1) * np.exp(r) / 4.0]) @ rot.T
+
+
+def _linalg_fidelity(mean_a, cov_a, mean_b, cov_b):
+    """The determinant-and-solve form, with the clamp and refusal of _fidelities."""
+    vsum = cov_a + cov_b
+    small = (16.0 * np.linalg.det(cov_a) - 1.0) * (16.0 * np.linalg.det(cov_b) - 1.0) / 4.0
+    if small < -fi.PURITY_CLAMP:
+        raise ValueError("covariance violates the purity bound")
+    small = max(small, 0.0)
+    du = mean_b - mean_a
+    denominator = np.sqrt(4.0 * np.linalg.det(vsum) + small) - np.sqrt(small)
+    return min(np.exp(-0.5 * du @ np.linalg.solve(vsum, du)) / denominator, 1.0)
+
+
+def _draw_params(rng, kind):
+    """(r, n, theta): generic, near-circular (c00 ~ c11, c01 ~ 0), pure, or mixed (n >= 0.2)."""
+    r = 10.0 ** rng.uniform(-12, -6) if kind == "circular" else rng.uniform(0.0, 2.0)
+    n = {"pure": 0.0, "mixed": rng.uniform(0.2, 1.0)}.get(kind, rng.uniform(0.0, 1.0))
+    return r, n, rng.uniform(-np.pi, np.pi)
+
+
+@pytest.mark.parametrize("kind", ["generic", "circular", "pure"])
+def test_covariance_matches_the_rotated_diagonal(kind):
+    rng = np.random.default_rng(["generic", "circular", "pure"].index(kind))
+    for _ in range(2000):
+        r, n, theta = _draw_params(rng, kind)
+        got = fi.SqueezedThermalParams(r=r, n=n, theta=theta).covariance()
+        want = _linalg_covariance(r, n, theta)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()  # a few ulps
+        assert got[0, 1] == got[1, 0]
+
+
+# A pure state scaled down by 1e-13 to 4e-13 of its determinant puts the purity term
+# below 0 beyond round-off in both routes, and within PURITY_CLAMP against a mixed state
+# (n >= 0.2): both clamp. Scaled by 1e-11, it is past the clamp: both refuse.
+@pytest.mark.parametrize("kind", ["generic", "circular", "pure", "clamped", "refused"])
+def test_fidelities_match_the_determinant_and_solve_form(kind):
+    rng = np.random.default_rng([31, ["generic", "circular", "pure", "clamped",
+                                      "refused"].index(kind)])
+    near_pure = kind in ("clamped", "refused")
+    for _ in range(2000):
+        means = [rng.uniform(-1.0, 1.0, 2) for _ in range(3)]
+        covs = [_linalg_covariance(*_draw_params(rng, "mixed" if near_pure else kind))
+                for _ in range(2)]
+        if near_pure:
+            r, _, theta = _draw_params(rng, "pure")
+            deficit = rng.uniform(1e-13, 4e-13) if kind == "clamped" else 1e-11
+            covs[0] = _linalg_covariance(r / 2.0, 0.0, theta) * np.sqrt(1.0 - deficit)
+        if kind == "refused":
+            with pytest.raises(ValueError, match="purity bound"):
+                _linalg_fidelity(means[0], covs[0], means[1], covs[1])
+            with pytest.raises(ValueError, match="purity bound"):
+                fi._fidelities(means[0].tolist(), covs[0], [means[1].tolist()], covs[1])
+            continue
+        got = fi._fidelities(means[0].tolist(), covs[0], [m.tolist() for m in means[1:]],
+                             covs[1])
+        for mean_b, value in zip(means[1:], got):
+            assert value == pytest.approx(_linalg_fidelity(means[0], covs[0], mean_b, covs[1]),
+                                          rel=1e-13)
+
+
+_HOSTILE = {"r=inf": dict(r=np.inf), "r=nan": dict(r=np.nan), "n=inf": dict(n=np.inf),
+            "n=nan": dict(n=np.nan), "theta=inf": dict(theta=np.inf),
+            "theta=-inf": dict(theta=-np.inf), "theta=nan": dict(theta=np.nan)}
+
+
+@pytest.mark.parametrize("fields", _HOSTILE.values(), ids=_HOSTILE.keys())
+def test_non_finite_parameters_are_refused(fields):
+    with pytest.raises(ValueError, match="finite"):
+        fi.SqueezedThermalParams(**fields)
+
+
+# r past log(float64 max) overflows exp(r); n = 1e308 overflows 2n + 1; r = 400 with
+# n = 1e150 keeps every entry finite but overflows the determinant.
+@pytest.mark.parametrize("fields", [dict(r=800.0), dict(r=709.79), dict(n=1e308),
+                                    dict(r=400.0, n=1e150, theta=0.3)],
+                         ids=["r=800", "r=709.79", "n=1e308", "det-overflow"])
+@pytest.mark.parametrize("route", [
+    lambda p: p.covariance(), lambda p: p.to_state(), lambda p: fi.lossy_state(p, 0.5),
+    lambda p: fi.fisher_closed_form(p, 0.5), lambda p: fi.fisher_numeric(p, 0.5),
+    lambda p: p.mean_photon_number(),
+], ids=["covariance", "to_state", "lossy_state", "closed_form", "numeric", "photons"])
+def test_an_overflowing_covariance_is_refused_on_every_route(fields, route):
+    with pytest.raises(ValueError, match="overflows float64"):
+        route(fi.SqueezedThermalParams(**fields))
+
+
+def test_a_large_finite_squeeze_is_accepted():
+    # F = V_pp/det V = 4 exp(r) at theta = 0, eta = 1, finite up to r = 708.
+    p = fi.SqueezedThermalParams(r=700.0)
+    assert fi.fisher_closed_form(p, 1.0) == pytest.approx(4.0 * np.exp(700.0), rel=1e-15)
+    with pytest.raises(ValueError, match="Fisher information at r = 709 overflows float64"):
+        fi.fisher_closed_form(fi.SqueezedThermalParams(r=709.0), 1.0)

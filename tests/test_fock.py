@@ -123,12 +123,16 @@ def test_operators_match_expm_of_truncated_generators(cutoff):
         assert np.abs(fock.squeeze_operator(r, cutoff) - want).max() < 1e-12
 
 
+def _eigh_form(cov):
+    """(nbar, r, theta) from np.linalg.eigh, the route _squeezed_thermal_form replaces."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    nbar = max(0.0, (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0)
+    return nbar, 0.25 * np.log(eigvals[1] / eigvals[0]), np.arctan2(-eigvecs[1, 0], eigvecs[0, 0])
+
+
 def _dense_unitary(state, cutoff):
     """U = D R S formed as full operators, and the thermal populations p."""
-    eigvals, eigvecs = np.linalg.eigh(state.cov)
-    nbar = max(0.0, (4.0 * np.sqrt(eigvals.prod()) - 1.0) / 2.0)
-    r = 0.25 * np.log(eigvals[1] / eigvals[0])
-    theta = np.arctan2(-eigvecs[1, 0], eigvecs[0, 0])
+    nbar, r, theta = _eigh_form(state.cov)
     u = (fock.displacement_operator(state.mean[0] + 1j * state.mean[1], cutoff)
          @ np.diag(fock.rotation_phases(theta, cutoff))
          @ fock.squeeze_operator(r, cutoff))
@@ -167,6 +171,50 @@ def test_gaussian_to_fock_factor_matches_dense_products_on_random_states(seed, n
     op = fock.gaussian_to_fock(state, 60)
     assert np.abs(op.matrix - rho).max() < 1e-13
     assert op.factor.shape == (60, width)
+
+
+# Each cutoff with the state range it holds within the truncation tolerances.
+@pytest.mark.parametrize("cutoff, r_max, n_max, radius", [
+    (20, 0.6, 0.2, 0.5), (60, 1.2, 0.5, 1.0), (120, 1.8, 1.0, 1.5)])
+def test_gaussian_to_fock_matches_dense_products_at_each_cutoff(cutoff, r_max, n_max, radius):
+    # The fused chain against D, R and S formed as full operators from an eigh of the
+    # covariance, on random states, some pure.
+    rng = np.random.default_rng([41, cutoff])
+    for k in range(12):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        state = fisher.SqueezedThermalParams(
+            r=rng.uniform(0.0, r_max), n=0.0 if k % 4 == 0 else rng.uniform(0.0, n_max),
+            theta=rng.uniform(0.0, np.pi),
+            mean=rng.uniform(0.0, radius) * np.array([np.cos(phase), np.sin(phase)]),
+        ).to_state()
+        rho, width = _dense_reference(state, cutoff)
+        op = fock.gaussian_to_fock(state, cutoff)
+        assert np.abs(op.matrix - rho).max() < 1e-13
+        assert op.factor.shape == (cutoff, width)
+
+
+@pytest.mark.parametrize("kind", ["generic", "pure", "circular"])
+def test_squeezed_thermal_form_matches_eigh(kind):
+    # fisher's r is twice the Fock oracle's; near-circular covariances (c00 ~ c11, c01 ~ 0)
+    # leave theta free, so the covariance rebuilt from the form is compared too.
+    rng = np.random.default_rng([42, ["generic", "pure", "circular"].index(kind)])
+    for _ in range(2000):
+        r = 10.0 ** rng.uniform(-12, -6) if kind == "circular" else rng.uniform(0.0, 2.4)
+        cov = fisher.SqueezedThermalParams(
+            r=r, n=0.0 if kind == "pure" else rng.uniform(0.0, 2.0),
+            theta=rng.uniform(-np.pi, np.pi)).covariance()
+        nbar, half_r, theta = fock._squeezed_thermal_form(cov)
+        want_nbar, want_r, want_theta = _eigh_form(cov)
+        assert nbar == pytest.approx(want_nbar, abs=1e-14 * (1.0 + want_nbar))
+        assert half_r == pytest.approx(want_r, abs=1e-14)
+        if half_r > 1e-3:
+            gap = (theta - want_theta) % np.pi
+            assert min(gap, np.pi - gap) < 1e-12
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.array([[c, s], [-s, c]])
+        rebuilt = (2.0 * nbar + 1.0) / 4.0 * rot @ np.diag(np.exp([-2.0 * half_r,
+                                                                    2.0 * half_r])) @ rot.T
+        assert np.abs(rebuilt - cov).max() <= 1e-14 * np.abs(cov).max()
 
 
 @pytest.mark.parametrize("state", [g.vacuum_state(1), g.coherent_state(0.7, -0.4)],

@@ -106,6 +106,8 @@ SMALL_MC = "[case]\nM = 2\nN_S = 1\ntrials = 10\n"
 SMALL_PHASE = "M = 2\nN_S = 1\nN_v = 100\ndphi = 0.01\ntrials = 10\n"
 NO_BUDGET_MODE = "specify exactly one of --photons-per-node / --total-photons"
 NOT_CONVERGED = (3, "did not converge")
+MAX_TRIALS = cli.CAMPAIGN_MAX_TRIALS
+TRIALS_RANGE = f"is not a finite int in [1, {MAX_TRIALS}]"
 NO_MEMORY = (1, "not enough memory")
 
 
@@ -178,9 +180,16 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
      "{cfg}:5: duplicate key 'M'"),
     ("monte-carlo-no-equals", MC, "[case]\nM 2\n", 1, "{cfg}:2: expected 'key = value'"),
     ("monte-carlo-zero-trials", MC, "seed = 1\ntrials = 0\n[case]\nM = 2\nN_S = 1.0\n", 1,
-     "{cfg}:2: bad value for 'trials': '0' is not a finite int >= 1"),
+     f"{{cfg}}:2: bad value for 'trials': '0' {TRIALS_RANGE}"),
     ("monte-carlo-option-zero-trials", MC + " --trials 0", SMALL_MC, 1,
-     "argument --trials: '0' is not a finite int >= 1"),
+     f"argument --trials: '0' {TRIALS_RANGE}"),
+    # a trial count past the bound names the option or the config line, not the node count
+    ("monte-carlo-option-trials-above-bound", MC + f" --trials {MAX_TRIALS + 1}", SMALL_MC, 1,
+     f"argument --trials: '{MAX_TRIALS + 1}' {TRIALS_RANGE}"),
+    ("monte-carlo-trials-above-bound", MC, f"trials = {MAX_TRIALS + 1}\n[case]\nM = 2\nN_S = 1\n",
+     1, f"{{cfg}}:1: bad value for 'trials': '{MAX_TRIALS + 1}' {TRIALS_RANGE}"),
+    ("monte-carlo-case-trials=1e15", MC, f"[case]\nM = 2\nN_S = 1\ntrials = {10**15}\n", 1,
+     f"{{cfg}}:4: bad value for 'trials': '{10**15}' {TRIALS_RANGE}"),
     ("monte-carlo-missing-M", MC, "[case]\nN_S = 1\ntrials = 10\n", 1,
      "error: {cfg}: case 0: missing key 'M'"),
     ("monte-carlo-negative-seed", MC, "seed = -1\n" + SMALL_MC, 1,
@@ -205,7 +214,12 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
      "{cfg}:6: bad value for 'seed': must lie in [0, 4294967295]"),
     ("phase-seed-2^32", PHASE, SMALL_PHASE + f"seed = {2**32}\n", *BAD_SEED),
     ("phase-zero-trials", PHASE + " --trials 0", SMALL_PHASE, 1,
-     "argument --trials: '0' is not a finite int >= 1"),
+     f"argument --trials: '0' {TRIALS_RANGE}"),
+    ("phase-option-trials=1e15", PHASE + f" --trials {10**15}", SMALL_PHASE, 1,
+     f"argument --trials: '{10**15}' {TRIALS_RANGE}"),
+    ("phase-trials-above-bound", PHASE,
+     SMALL_PHASE.replace("trials = 10", f"trials = {MAX_TRIALS + 1}"), 1,
+     f"{{cfg}}:5: bad value for 'trials': '{MAX_TRIALS + 1}' {TRIALS_RANGE}"),
     ("phase-missing-N_S", PHASE, SMALL_PHASE.replace("N_S = 1\n", ""), 1,
      "error: {cfg}: missing key 'N_S'"),
     *((f"phase-M={m}", PHASE, SMALL_PHASE.replace("M = 2", f"M = {m}"), 1,
