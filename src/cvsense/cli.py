@@ -52,6 +52,16 @@ class StatisticalFailure(Exception):
     pass
 
 
+def _status(sigmas):
+    """A campaign row's verdict: FAIL at a gap of 4 standard errors or more, or a nan one."""
+    return "PASS" if sigmas < 4.0 else "FAIL"
+
+
+def _failure(rows, what):
+    """The failure of a campaign table whose rows end in their status, or None."""
+    return None if all(row[-1] == "PASS" for row in rows) else f"{what} by >= 4 sigma"
+
+
 def _fmt(value):
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
@@ -320,17 +330,15 @@ def cmd_monte_carlo(config_path, seed, trials):
         except ValueError as exc:
             raise ValueError(f"case {index}: {exc}") from exc
         sigmas = report.agreement_sigmas()
-        status = "PASS" if sigmas < 4.0 else "FAIL"
         rows.append((
             index, cfg.scheme, cfg.num_nodes, cfg.total_photons,
             _fmt_vector(cfg.eta[:1] if np.all(cfg.eta == cfg.eta[0]) else cfg.eta),
             cfg.alpha_true, report.trials, report.empirical_mean, report.empirical_rms_error,
-            report.rms_standard_error, report.analytic_rms, sigmas, status,
+            report.rms_standard_error, report.analytic_rms, sigmas, _status(sigmas),
         ))
     header = ["case", "scheme", "M", "N_S", "eta", "alpha", "trials", "empirical_mean",
               "empirical_rms", "rms_standard_error", "analytic_rms", "sigma_gap", "status"]
-    failure = (None if all(row[-1] == "PASS" for row in rows)
-               else "one or more cases missed the analytic rms by >= 4 sigma")
+    failure = _failure(rows, "one or more cases missed the analytic rms")
     return Result(header, rows, cases[0]["seed"], failure=failure)
 
 
@@ -420,7 +428,7 @@ _PHASE_KEYS = {
            f"Override the config trial count, at most {CAMPAIGN_MAX_TRIALS}."),
 )
 def cmd_phase(config_path, seed, trials):
-    """Mach-Zehnder network sweep: empirical vs linearized rms and residuals."""
+    """Mach-Zehnder network sweep vs the exact and linearized rms; exit 2 on a 4-sigma miss."""
     from . import protocols
 
     [run] = parse_config(config_path, _PHASE_KEYS, seed=seed, trials=trials)
@@ -433,12 +441,15 @@ def cmd_phase(config_path, seed, trials):
         report = protocols.simulate_phase_protocol(**run, dphi_true=dphi, seed=(run_seed, index))
         exact_rms = protocols.phase_exact_stats(**network, dphi=dphi)[2]
         linearized = report.analytic_rms
+        sigmas = abs(report.empirical_rms_error - exact_rms) / report.rms_standard_error
         rows.append((dphi, report.trials, report.empirical_mean, report.empirical_mean - dphi,
                      report.empirical_rms_error, report.rms_standard_error, linearized,
-                     exact_rms, abs(exact_rms - linearized)))
+                     exact_rms, abs(exact_rms - linearized), sigmas, _status(sigmas)))
     header = ["dphi", "trials", "empirical_mean", "bias", "empirical_rms",
-              "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual"]
-    return Result(header, rows, run_seed)
+              "rms_standard_error", "linearized_rms", "exact_rms", "linearization_residual",
+              "sigma_gap", "status"]
+    failure = _failure(rows, "one or more phase shifts missed the exact rms")
+    return Result(header, rows, run_seed, failure=failure)
 
 
 # -- parsing --------------------------------------------------------------

@@ -6,8 +6,9 @@ information of squeezed thermal states under loss, its maximum at a
 photon budget, and the separable-state Cramer-Rao bound.
 
 The squeeze parameter here (r) is defined through the covariance
-Diag[(2n+1)exp(-r)/4, (2n+1)exp(r)/4]; it is TWICE the r of
-fock.squeeze_operator, for which Var(x) = exp(-2r)/4.
+Diag[(2n+1)exp(-r)/4, (2n+1)exp(r)/4]; it is TWICE the r of the Fock
+oracle's squeezing exp(r (a^2 - a^dag^2)/2) (fock._squeezed_thermal_form),
+for which Var(x) = exp(-2r)/4.
 """
 
 from __future__ import annotations

@@ -85,39 +85,6 @@ def _generator_eigh(kind, cutoff):
     return mu, gauge, vecs
 
 
-def _apply_generator(kind, t, block):
-    """exp(t G) @ block for a complex (cutoff, k) block, in place; returns block.
-
-    The products with the real eigenbasis W act on the block's (re, im)
-    float view, half the flops of a complex matmul.
-    """
-    mu, gauge, vecs = _generator_eigh(kind, block.shape[0])
-    block *= gauge.conj()[:, None]
-    rotated = (vecs.T @ block.view(float)).view(complex)
-    rotated *= np.exp(-1j * t * mu)[:, None]
-    np.matmul(vecs, rotated.view(float), out=block.view(float))
-    block *= gauge[:, None]
-    return block
-
-
-def displacement_operator(beta, cutoff):
-    """exp(beta a^dag - beta* a) = P exp(|beta| (a^dag - a)) P^dag, P = exp(1j arg(beta) n)."""
-    phase = np.exp(1j * np.angle(beta) * np.arange(cutoff))
-    op = _apply_generator("displacement", abs(beta), np.diag(phase.conj()))
-    op *= phase[:, None]
-    return op
-
-
-def squeeze_operator(r, cutoff):
-    """Squeezes x for r > 0: Var(x) on vacuum becomes exp(-2r)/4."""
-    return _apply_generator("squeeze", r, np.eye(cutoff, dtype=complex))
-
-
-def rotation_phases(theta, cutoff):
-    """Diagonal of exp(-i theta n), which rotates quadratures by R_theta = [[c, s], [-s, c]]."""
-    return np.exp(-1j * theta * np.arange(cutoff))
-
-
 def thermal_populations(nbar, cutoff):
     """Number-basis populations of a thermal state, the diagonal of its density matrix."""
     if not (nbar >= 0):  # nan fails this too
@@ -149,7 +116,8 @@ def _check_truncation(op):
 def _squeezed_thermal_form(cov):
     """(nbar, r, theta) with cov = (2 nbar + 1)/4 R diag(exp(-2r), exp(2r)) R^T, in floats.
 
-    R = [[c, s], [-s, c]] at theta, so squeeze_operator(r) then rotation_phases(theta)
+    R = [[c, s], [-s, c]] at theta rotates quadratures as exp(-1j theta n) does, so
+    S(r) = exp(r (a^2 - a^dag^2)/2) (Var(x) = exp(-2r)/4 on vacuum) then exp(-1j theta n)
     squeezes the quadrature along (cos theta, -sin theta). For cov = [[a, b], [b, c]] the
     eigenvalues are lam2 = (a + c)/2 + hypot((a - c)/2, b) and lam1 = det/lam2, and the
     minor axis lies at -theta with theta = atan2(2b, c - a)/2.
@@ -188,10 +156,11 @@ def gaussian_to_fock(state, cutoff=DEFAULT_CUTOFF):
     probs = thermal_populations(nbar, cutoff)
     kept = int(np.count_nonzero(probs >= np.finfo(float).eps))
     # With S = g_s W_s E_s W_s^T g_s*, R = diag(exp(-i theta n)) and D = P g_d W_d E_d W_d^T
-    # g_d* P* (_generator_eigh, displacement_operator), X is one chain: W_s^T g_s* sqrt(p)
-    # scales the columns of W_s's first K rows, the four diagonals g_d* P* R g_s between
-    # the two eigenbases are one phase vector, and three real products on the block's
-    # (re, im) view remain. No operator is formed as a matrix.
+    # g_d* P* (_generator_eigh; D = exp(beta a^dag - beta* a) = P exp(|beta| (a^dag - a)) P*
+    # with P = diag(exp(i phi n))), X is one chain: W_s^T g_s* sqrt(p) scales the columns
+    # of W_s's first K rows, the four diagonals g_d* P* R g_s between the two eigenbases
+    # are one phase vector, and three real products on the block's (re, im) view remain.
+    # No operator is formed as a matrix.
     mu_s, g_s, w_s = _generator_eigh("squeeze", cutoff)
     mu_d, g_d, w_d = _generator_eigh("displacement", cutoff)
     n = np.arange(cutoff)

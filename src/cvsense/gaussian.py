@@ -19,15 +19,6 @@ SYMPLECTIC_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-10
 
 
-def symplectic_form(num_modes):
-    """Omega = [[0, I], [-I, 0]] in xxpp ordering."""
-    omega = np.zeros((2 * num_modes, 2 * num_modes))
-    idx = np.arange(num_modes)
-    omega[idx, idx + num_modes] = 1.0
-    omega[idx + num_modes, idx] = -1.0
-    return omega
-
-
 def _checked_covariance(cov, m):
     """Symmetrised cov, once it is finite, symmetric and obeys cov + (i/4) Omega >= 0.
 

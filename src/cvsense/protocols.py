@@ -393,7 +393,12 @@ def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
 
 def simulate_phase_protocol(num_nodes, total_photons, ancilla_photons, eta, dphi_true,
                             trials=DEFAULT_TRIALS, seed=0):
-    """Monte Carlo over the exact Mach-Zehnder network; p-quadrature homodyne."""
+    """Monte Carlo over the exact Mach-Zehnder network; p-quadrature homodyne.
+
+    The report's analytic_rms is the linearized phase_rms_error, off the exact rms by a
+    term quadratic in dphi, so its agreement_sigmas() is not the campaign's verdict: compare
+    empirical_rms_error with phase_exact_stats' rms, in units of rms_standard_error.
+    """
     if not (abs(dphi_true) < PHASE_LINEARIZATION_GUARD):  # nan fails this too
         raise ValueError(
             f"|dphi| must be below the linearization guard {PHASE_LINEARIZATION_GUARD}"

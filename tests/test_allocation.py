@@ -184,6 +184,23 @@ def test_optimal_weights_product_descends_and_certifies():
     assert result.objective <= best + 1e-6
 
 
+def test_entangled_optimum_is_the_fisher_sum():
+    # At the optimal weights 1/rms^2 is a Fisher sum, each node's fisher_max at the whole
+    # budget: 1/rms^2 = sum_m fisher_max(N_S, eta_m), an independent route to the weighted
+    # command's entangled optimum. Seeded networks, every fourth uniform, M from 1 to 200
+    # (log-uniform) and N_S from 1e-3 to 1e6.
+    rng = np.random.default_rng(2032)
+    for k in range(500):
+        m = 200 if k == 0 else int(np.exp(rng.uniform(0.0, np.log(200.0))))
+        etas = np.exp(rng.uniform(np.log(1e-3), 0.0, size=1 if k % 4 == 0 else m))
+        etas[rng.random(etas.size) < 0.1] = 1.0
+        etas = np.broadcast_to(etas, (m,))
+        n_s = float(10.0 ** rng.uniform(-3.0, 6.0))
+        rms = al.weighted_rms(al.optimal_weights_entangled(etas, n_s), etas, n_s)
+        total = sum(fisher_max(n_s, eta)[0] for eta in etas)
+        assert abs(1.0 / rms**2 - total) / total <= 1e-13
+
+
 def test_weighted_entangled_monte_carlo(configs_dir):
     # Simulated weighted entangled estimator matches the closed form.
     etas = np.array([0.9, 0.3])

@@ -195,8 +195,15 @@ def test_phase_command(tmp_path, configs_dir):
     out = tmp_path / "phase.csv"
     assert run(["phase", "--config", configs_dir / "phase_sweep.cfg",
                 "--trials", 50_000, "--out", out]) == 0
-    _, rows = csv_rows(out)
+    header, rows = csv_rows(out)
     assert len(rows) == 3
+    # Each point's verdict compares the empirical rms with the exact one.
+    assert header[-2:] == ["sigma_gap", "status"]
+    for row in rows:
+        gap = abs(float(row["empirical_rms"]) - float(row["exact_rms"]))
+        assert float(row["sigma_gap"]) == pytest.approx(
+            gap / float(row["rms_standard_error"]), abs=1e-6)
+        assert row["status"] == "PASS"
     assert manifest(out)["notes"] == []  # N_S = 2, far below the squeezing cap
     residuals = [float(r["linearization_residual"]) for r in rows]
     # Quadratic growth of the linearization residual across the dphi sweep.

@@ -83,7 +83,7 @@ def test_fidelity_unitary_invariance():
     s1 = fock.gaussian_to_fock(g.squeezed_vacuum(0.8), cutoff)
     s2 = fock.gaussian_to_fock(g.coherent_state(0.3), cutoff)
     base = fock.fock_fidelity(s1, s2)
-    disp = fock.displacement_operator(0.25 + 0.1j, cutoff)
+    disp = _displacement(0.25 + 0.1j, cutoff)
     moved1 = fock.FockOperator(disp @ s1.factor)
     moved2 = fock.FockOperator(disp @ s2.factor)
     assert fock.fock_fidelity(moved1, moved2) == pytest.approx(base, abs=1e-9)
@@ -112,15 +112,33 @@ def test_squeezed_displaced_oracle_converged():
     assert abs(f100 - f200) < 1e-8
 
 
+def _displacement(beta, cutoff):
+    """exp(beta a^dag - beta* a) on the truncated basis, from scipy's expm."""
+    a = fock.annihilation(cutoff)
+    return expm(beta * a.conj().T - np.conj(beta) * a)
+
+
+def _squeeze(r, cutoff):
+    """exp(r (a^2 - a^dag^2)/2) on the truncated basis, from scipy's expm of the real generator."""
+    a = fock.annihilation(cutoff).real
+    return expm(0.5 * r * (a @ a - a.T @ a.T))
+
+
 @pytest.mark.parametrize("cutoff", [20, 60, 120])
 def test_operators_match_expm_of_truncated_generators(cutoff):
-    a = fock.annihilation(cutoff)
+    # The identity gaussian_to_fock's chain rests on: exp(t G) = g W diag(exp(-i t mu)) W^T g*,
+    # with D(beta) = P exp(|beta| G_d) P* for P = diag(exp(i arg(beta) n)).
+    def from_eigh(kind, t):
+        mu, gauge, vecs = fock._generator_eigh(kind, cutoff)
+        return gauge[:, None] * (vecs * np.exp(-1j * t * mu)) @ vecs.T * gauge.conj()
+
+    n = np.arange(cutoff)
     for beta in (0.0, 0.3j, 0.7 - 0.4j, -1.2 + 0.5j, -2.0):
-        want = expm(beta * a.conj().T - np.conj(beta) * a)
-        assert np.abs(fock.displacement_operator(beta, cutoff) - want).max() < 1e-12
+        phase = np.exp(1j * np.angle(beta) * n)
+        got = phase[:, None] * from_eigh("displacement", abs(beta)) * phase.conj()
+        assert np.abs(got - _displacement(beta, cutoff)).max() < 1e-12
     for r in (-1.1, -0.3, 0.0, 0.45, 1.2):
-        want = expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
-        assert np.abs(fock.squeeze_operator(r, cutoff) - want).max() < 1e-12
+        assert np.abs(from_eigh("squeeze", r) - _squeeze(r, cutoff)).max() < 1e-12
 
 
 def _eigh_form(cov):
@@ -131,11 +149,11 @@ def _eigh_form(cov):
 
 
 def _dense_unitary(state, cutoff):
-    """U = D R S formed as full operators, and the thermal populations p."""
+    """U = D R S formed as full operators with scipy's expm, and the thermal populations p."""
     nbar, r, theta = _eigh_form(state.cov)
-    u = (fock.displacement_operator(state.mean[0] + 1j * state.mean[1], cutoff)
-         @ np.diag(fock.rotation_phases(theta, cutoff))
-         @ fock.squeeze_operator(r, cutoff))
+    u = (_displacement(state.mean[0] + 1j * state.mean[1], cutoff)
+         @ np.diag(np.exp(-1j * theta * np.arange(cutoff)))
+         @ _squeeze(r, cutoff))
     return u, fock.thermal_populations(nbar, cutoff)
 
 

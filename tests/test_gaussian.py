@@ -99,11 +99,17 @@ def test_unbalanced_splitter():
         g.unbalanced_splitter(np.zeros(3))
 
 
+def _omega(m):
+    """The symplectic form [[0, I], [-I, 0]] in xxpp ordering."""
+    zero, one = np.zeros((m, m)), np.eye(m)
+    return np.block([[zero, one], [-one, zero]])
+
+
 def test_symplectic_invariant_random_transforms(rng):
     for m in (1, 2, 5):
         ortho = np.linalg.qr(rng.standard_normal((m, m)))[0]
         t = g.passive_transform(ortho.T)
-        omega = g.symplectic_form(m)
+        omega = _omega(m)
         assert np.abs(t.matrix @ omega @ t.matrix.T - omega).max() < 1e-10
 
 
@@ -433,7 +439,7 @@ def test_passive_transform_of_a_real_orthogonal_is_block_diagonal(m):
 def _complex_form_verdict(cov):
     """(accepted, min eig) from eigvalsh of cov + (i/4) Omega itself, the reference."""
     m = cov.shape[0] // 2
-    min_eig = np.linalg.eigvalsh(cov + 0.25j * g.symplectic_form(m)).min()
+    min_eig = np.linalg.eigvalsh(cov + 0.25j * _omega(m)).min()
     return min_eig >= -g.UNCERTAINTY_TOL, min_eig
 
 

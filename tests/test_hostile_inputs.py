@@ -126,6 +126,11 @@ def rigged(cfg):
     return protocols.EstimatorReport(cfg.trials, 0.0, 1.0, 1e-3, 0.5)
 
 
+def rigged_phase(trials=protocols.DEFAULT_TRIALS, **network):
+    """A phase campaign 970 standard errors from SMALL_PHASE's exact rms, 0.029."""
+    return protocols.EstimatorReport(trials, 0.0, 1.0, 1e-3, 0.5)
+
+
 ROWS = [*grid_rows(), *(Row(*fields) for fields in [
     # argument parsing
     ("no-command", "", None, 1, "required: COMMAND"),
@@ -270,6 +275,8 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
     # faults
     ("statistical-failure", MC, SMALL_MC, 2, "statistical validation failed",
      patch(protocols, "simulate_displacement_protocol", rigged)),
+    ("phase-statistical-failure", PHASE, SMALL_PHASE, 2, "statistical validation failed",
+     patch(protocols, "simulate_phase_protocol", rigged_phase)),
     ("monte-carlo-memory-error", MC, SMALL_MC, *NO_MEMORY,
      patch(protocols, "SensorNetworkConfig", raising(MemoryError("Unable to allocate")))),
     ("phase-memory-error", PHASE, SMALL_PHASE, *NO_MEMORY,
