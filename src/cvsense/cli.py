@@ -510,8 +510,9 @@ def manifest_to_argv(manifest, out_path):
 def _run(argv):
     """Parse and run one command, then write its CSV and manifest.
 
-    The command's ValueError becomes a UsageError naming its config. Each
-    distinct warning it raised is printed once and noted once, after its own notes.
+    The command's ValueError becomes a UsageError naming its config, and a failed write
+    one naming its path. Each distinct warning it raised is printed once and noted once,
+    after its own notes.
     """
     try:
         name, params = _parse(argv)
@@ -530,9 +531,13 @@ def _run(argv):
             raised = list(dict.fromkeys(str(w.message) for w in caught))
             for text in raised:
                 print(f"warning: {text}", file=sys.stderr)
-    body = _write_csv(params["out"], result.header, result.rows)
-    _write_manifest(params["out"], name, argv, params, result.seed,
-                    [*result.notes, *raised], body)
+    try:
+        body = _write_csv(params["out"], result.header, result.rows)
+        _write_manifest(params["out"], name, argv, params, result.seed,
+                        [*result.notes, *raised], body)
+    except OSError as exc:  # such as an --out in a missing or read-only directory
+        raise UsageError(f"cannot write {exc.filename or params['out']}: "
+                         f"{exc.strerror or exc}") from exc
     if result.failure:
         raise StatisticalFailure(result.failure)
     return 0

@@ -150,52 +150,53 @@ def _thread_count(chunks):
     return min(chunks, cpus)
 
 
-def homodyne_plan(mean, a, top, unit):
-    """Check a homodyne marginal once and return what homodyne_samples draws from.
+@dataclass(frozen=True, eq=False)
+class _Marginal:
+    """The Gaussian law of the measured quadratures, as every campaign samples it.
 
-    The measured quadratures have mean `mean` (length M) and covariance
-    a I + (top - a) u u^T, the form of every pipeline marginal: variance top
-    along the unit vector u = `unit` (or zero) and a across it. With u zero the
-    marginal is diagonal and a may be a length-M vector, one variance per node.
-    The plan is (u, sqrt(a), [(sqrt(top) - sqrt(a)) u; mean]), formed once per campaign.
+    Mean `mean` (length M) and covariance a I + (top - a) u u^T: variance top along the
+    unit vector u = `unit` (a float array, or zero) and a across it. With u zero the
+    marginal is diagonal and a may be a length-M vector, one variance per node. Construction
+    checks the marginal and forms sqrt(a) and [(sqrt(top) - sqrt(a)) u; mean] once per campaign.
     """
-    unit = np.asarray(unit, dtype=float)
-    eigs = np.append(a, top)
-    # nan fails every test here, and u . u is nan or inf when any entry of u is.
-    if not (np.all((0.0 <= eigs) & (eigs < np.inf)) and np.isfinite(unit @ unit)):
-        raise ValueError(f"quadrature covariance is not finite and PSD "
-                         f"(smallest eigenvalue {eigs.min():.3e})")
-    # A constant a scales as a scalar: broadcasting a short row costs a loop per trial.
-    root_a = np.sqrt(np.max(a)) if np.ptp(a) == 0.0 else np.sqrt(a)
-    return unit, root_a, np.stack([(np.sqrt(top) - root_a) * unit, mean])
+
+    mean: np.ndarray
+    a: object
+    top: float
+    unit: np.ndarray
+
+    def __post_init__(self):
+        eigs = np.append(self.a, self.top)
+        # nan fails every test here, and u . u is nan or inf when any entry of u is.
+        if not (np.all((0.0 <= eigs) & (eigs < np.inf)) and np.isfinite(self.unit @ self.unit)):
+            raise ValueError(f"quadrature covariance is not finite and PSD "
+                             f"(smallest eigenvalue {eigs.min():.3e})")
+        # A constant a scales as a scalar: broadcasting a short row costs a loop per trial.
+        root_a = np.sqrt(np.max(self.a)) if np.ptp(self.a) == 0.0 else np.sqrt(self.a)
+        object.__setattr__(self, "_root_a", root_a)
+        object.__setattr__(self, "_right", np.stack([(np.sqrt(self.top) - root_a) * self.unit,
+                                                     self.mean]))
+
+    def sample(self, rng, normals, out):
+        """Fill out, shape (n, M), with n joint outcomes and return it, O(M) per trial:
+        normals z give x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z). normals is
+        caller-owned scratch of out's shape, overwritten, so a caller that reuses both
+        buffers allocates only O(n) per call; reproducible given rng."""
+        rng.standard_normal(out=normals)
+        # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
+        left = np.empty((2, normals.shape[0]))
+        np.matmul(normals, self.unit, out=left[0])
+        left[1] = 1.0
+        np.matmul(left.T, self._right, out=out)
+        normals *= self._root_a
+        out += normals
+        return out
 
 
-def homodyne_samples(plan, rng, normals, out):
-    """Fill out, shape (n, M), with n joint homodyne outcomes of homodyne_plan's
-    marginal and return it.
+def _run_campaign(marginal, weights, target, trials, seed, analytic_rms):
+    """Homodyne-sample a _Marginal and report the linear estimator about target.
 
-    Normals z give x = mean + sqrt(a) z + (sqrt(top) - sqrt(a)) u (u . z), O(M)
-    per trial. normals is caller-owned scratch of out's shape, overwritten, so a
-    caller that reuses both buffers allocates only O(n) per call; reproducible
-    given rng.
-    """
-    unit, root_a, right = plan
-    rng.standard_normal(out=normals)
-    # One (n x 2)(2 x M) product, [z . u, 1] [(sqrt(top) - sqrt(a)) u; mean], then sqrt(a) z.
-    left = np.empty((2, normals.shape[0]))
-    np.matmul(normals, unit, out=left[0])
-    left[1] = 1.0
-    np.matmul(left.T, right, out=out)
-    normals *= root_a
-    out += normals
-    return out
-
-
-def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rms):
-    """Homodyne-sample a Gaussian marginal and report the linear estimator about target.
-
-    The measured quadratures have mean `mean` and covariance a I + (top - a) unit unit^T;
-    each trial's estimate is weights @ outcomes. Trials run in chunks of CHUNK_NORMALS
+    Each trial's estimate is weights @ outcomes. Trials run in chunks of CHUNK_NORMALS
     normals, and chunk j draws from SeedSequence(seed, spawn_key=(j,)), i.e.
     SeedSequence(seed).spawn(j + 1)[j]. The calling thread and _thread_count - 1 helpers
     claim chunks in turn, each into buffers of its own; the per-chunk sums are reduced
@@ -203,8 +204,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
     """
     if not all(0 <= word <= SEED_MAX for word in np.atleast_1d(seed).tolist()):
         raise ValueError(f"seed words must lie in [0, {SEED_MAX}]")
-    plan = homodyne_plan(mean, a, top, unit)  # checked and formed once, not per chunk
-    rows = min(trials, max(1, CHUNK_NORMALS // mean.size))
+    rows = min(trials, max(1, CHUNK_NORMALS // marginal.mean.size))
     chunks = -(-trials // rows)
     sums = np.empty((chunks, 2))  # per chunk: sum of estimates, sum of squares about target
     claims = itertools.count()  # next() is atomic, so every chunk is claimed once
@@ -212,7 +212,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
 
     def work():
         try:
-            normals = np.empty((rows, mean.size))
+            normals = np.empty((rows, marginal.mean.size))
             samples = np.empty_like(normals)
             est = np.empty(rows)
             for j in claims:
@@ -220,7 +220,7 @@ def _run_campaign(mean, a, top, unit, weights, target, trials, seed, analytic_rm
                     return
                 n = min(rows, trials - j * rows)
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-                block = homodyne_samples(plan, rng, normals[:n], samples[:n])
+                block = marginal.sample(rng, normals[:n], samples[:n])
                 chunk = np.matmul(block, weights, out=est[:n])
                 sums[j, 0] = chunk.sum()
                 chunk -= target
@@ -270,7 +270,7 @@ def _mode_photons(cfg):
 
 
 def _x_marginal(cfg):
-    """(a, top, unit) of the post-loss x-covariance a I + (top - a) unit unit^T, in O(M).
+    """The post-loss x _Marginal, mean alpha_true on every node, in O(M).
 
     Every variance is a noise kernel (allocation.noise_kernel) over 4. Product nodes are
     independent, each squeezed with N_S/M photons: on any network, unit = 0 and
@@ -279,14 +279,15 @@ def _x_marginal(cfg):
     (Weedbrook et al., RMP 84, 621 (2012)): variance 1/4 across v and
     sum_m u_m^2 noise_kernel(eta_m, N_S)/4 along it.
     """
+    mean = np.full(cfg.num_nodes, float(cfg.alpha_true))
     if cfg.scheme == "product":
         a = 0.25 * noise_kernel(cfg.eta, _mode_photons(cfg))
-        return a, a, np.zeros(cfg.num_nodes)
+        return _Marginal(mean, a, a, np.zeros(cfg.num_nodes))
     u = _splitter_row(cfg)
     u = u / np.sqrt(u @ u)
     v = np.sqrt(cfg.eta) * u
     top = 0.25 * ((u * u) @ noise_kernel(cfg.eta, cfg.total_photons))
-    return 0.25, top, v / np.sqrt(v @ v)
+    return _Marginal(mean, 0.25, top, v / np.sqrt(v @ v))
 
 
 def analytic_config_rms(cfg):
@@ -338,11 +339,9 @@ def simulate_displacement_protocol(cfg):
     _check_resolution(cfg.alpha_true, analytic_rms)
     if _mode_photons(cfg) > SQUEEZING_CAP_PHOTONS:
         _warn_squeezing_cap()
-    return _run_campaign(
-        np.full(cfg.num_nodes, float(cfg.alpha_true)), *_x_marginal(cfg), cfg.weights,
-        target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
-        trials=cfg.trials, seed=cfg.seed, analytic_rms=analytic_rms,
-    )
+    return _run_campaign(_x_marginal(cfg), cfg.weights,
+                         target=cfg.alpha_true * cfg.weights.sum(),  # = alpha_true
+                         trials=cfg.trials, seed=cfg.seed, analytic_rms=analytic_rms)
 
 
 # -- phase sensing --------------------------------------------------------
@@ -357,7 +356,7 @@ def phase_rms_error(num_nodes, total_photons, ancilla_photons, eta):
 
 
 def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
-    """(mean, a, top, unit, weights) of the M signal p outputs and the estimator, in O(M).
+    """(_Marginal of the M signal p outputs, the estimator's weights), in O(M).
 
     The M identical MZ pairs act alike on the collective modes: one pair, whose drive b holds
     all M N_v photons, meets the squeezed mode a (Var p = V_p, Var x = V_x). Its signal output
@@ -374,19 +373,20 @@ def _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi):
     top = eta * (c.imag**2 * v_x + c.real**2 * v_p + abs(d) ** 2 / 4.0) + (1.0 - eta) / 4.0
     u = np.full(num_nodes, 1.0 / np.sqrt(num_nodes))
     weights = np.full(num_nodes, 2.0 / (np.sqrt(eta * ancilla_photons) * num_nodes))
-    return np.sqrt(eta) * d.imag * np.sqrt(num_nodes * ancilla_photons) * u, 0.25, top, u, weights
+    mean = np.sqrt(eta) * d.imag * np.sqrt(num_nodes * ancilla_photons) * u
+    return _Marginal(mean, 0.25, top, u), weights
 
 
 def phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi):
     """(estimator mean, estimator sd, rms about dphi) from the exact marginal, in O(M)."""
     phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain checks first
-    mean, _, top, unit, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
-    est_mean = w @ mean
+    marginal, w = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi)
+    est_mean = w @ marginal.mean
     # w and unit are both constant vectors, so w has no part across unit and only the
     # variance top along it counts: a |w - (w.u)u|^2 would be round-off next to a top
     # of ~1/(16 N_S), and a (w.w - (w.u)^2) would cancel outright.
-    along = w @ unit
-    est_sd = np.sqrt(top * along**2)
+    along = w @ marginal.unit
+    est_sd = np.sqrt(marginal.top * along**2)
     rms = np.sqrt(est_sd**2 + (est_mean - dphi) ** 2)
     return float(est_mean), float(est_sd), float(rms)
 
@@ -405,6 +405,6 @@ def simulate_phase_protocol(num_nodes, total_photons, ancilla_photons, eta, dphi
         )
     _check_trials(trials)
     analytic_rms = phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain first
-    marginal = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
-    return _run_campaign(*marginal, target=dphi_true, trials=trials, seed=seed,
+    marginal, weights = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
+    return _run_campaign(marginal, weights, target=dphi_true, trials=trials, seed=seed,
                          analytic_rms=analytic_rms)

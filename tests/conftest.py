@@ -1,6 +1,13 @@
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose otherwise, set before numpy loads its pools: on a
+# 2-CPU host a 100x100 complex expm (the Fock tests' reference) takes about 24 ms on two
+# OpenBLAS threads and 2 ms on one, the thread hand-offs outweighing the arithmetic.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

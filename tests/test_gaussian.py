@@ -191,8 +191,8 @@ def test_photon_number_bookkeeping():
 def _homodyne(mean, a, top, unit, num_samples, rng):
     """num_samples outcomes of N(mean, a I + (top - a) u u^T), in freshly allocated buffers."""
     out = np.empty((num_samples, np.size(mean)))
-    plan = pr.homodyne_plan(np.asarray(mean, dtype=float), a, top, unit)
-    return pr.homodyne_samples(plan, rng, np.empty_like(out), out)
+    marginal = pr._Marginal(np.asarray(mean, dtype=float), a, top, unit)
+    return marginal.sample(rng, np.empty_like(out), out)
 
 
 def test_homodyne_sampling_statistics():
@@ -253,8 +253,8 @@ def test_homodyne_reproducible():
     # Refilling the same buffers draws the stream's next outcomes.
     normals, out = np.empty((2, 2)), np.empty((2, 2))
     rng = np.random.default_rng(9)
-    first = pr.homodyne_samples(pr.homodyne_plan(*args), rng, normals, out).copy()
-    second = pr.homodyne_samples(pr.homodyne_plan(*args), rng, normals, out)
+    first = pr._Marginal(*args).sample(rng, normals, out).copy()
+    second = pr._Marginal(*args).sample(rng, normals, out)
     assert second is out
     both = _homodyne(*args, 4, np.random.default_rng(9))
     assert np.array_equal(np.vstack([first, second]), both)
@@ -270,7 +270,7 @@ def test_homodyne_reproducible():
 )
 def test_homodyne_rejects_non_physical_marginals(a, top, v):
     with pytest.raises(ValueError, match="not finite and PSD") as caught:
-        pr.homodyne_plan(np.zeros(3), a, top, v)
+        pr._Marginal(np.zeros(3), a, top, np.asarray(v, dtype=float))
     smallest = np.min(np.append(a, top))  # nan when any entry is
     if not np.isnan(smallest) and smallest < 0.0:
         assert f"(smallest eigenvalue {smallest:.3e})" in str(caught.value)

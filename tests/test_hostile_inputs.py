@@ -136,6 +136,9 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
     ("no-command", "", None, 1, "required: COMMAND"),
     ("unknown-command", "no-such-command", None, 1, "invalid choice"),
     ("missing-out", "fisher --draws 1", None, 1, "required: --out"),
+    # an --out in a missing directory fails at the write, after the computation
+    ("out-in-missing-directory", "weighted --config {cfg} --out {out}.d/x.csv",
+     "N_S = 1\netas = 0.9 0.5\n", 1, "x.csv.d/x.csv: No such file or directory"),
     ("rms-curve-missing-out", "rms-curve", None, 1, "required: --out"),
     ("unknown-option", "rms-curve --bogus 1 --out {out}", None, 1,
      "unrecognized arguments: --bogus"),

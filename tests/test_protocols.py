@@ -270,8 +270,8 @@ def test_weighted_product_optima_match_the_sampler():
     for weights, result in ((net.weights, alloc), (w_opt, alloc_opt)):
         a = 0.25 * al.noise_kernel(etas, result.photons)
         for seed in range(4):
-            report = pr._run_campaign(np.zeros(etas.size), a, a, np.zeros(etas.size), weights,
-                                      target=0.0, trials=200_000, seed=seed,
+            marginal = pr._Marginal(np.zeros(etas.size), a, a, np.zeros(etas.size))
+            report = pr._run_campaign(marginal, weights, target=0.0, trials=200_000, seed=seed,
                                       analytic_rms=result.objective)
             assert report.agreement_sigmas() < 4.0
 
@@ -318,13 +318,13 @@ def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
     # One chunk of one row at M = 1 is one normal, seen by a spy on the sampler.
     monkeypatch.setattr(pr, "CHUNK_NORMALS", 1)
     seen = {}
-    real = pr.homodyne_samples
+    real = pr._Marginal.sample
 
-    def spy(plan, rng, normals, out):
+    def spy(marginal, rng, normals, out):
         seen[rng.bit_generator.seed_seq.spawn_key] = rng.bit_generator.state
-        return real(plan, rng, normals, out)
+        return real(marginal, rng, normals, out)
 
-    monkeypatch.setattr(pr, "homodyne_samples", spy)
+    monkeypatch.setattr(pr._Marginal, "sample", spy)
     pr.simulate_displacement_protocol(pr.SensorNetworkConfig(1, 2.0, seed=(9, 4), trials=5))
     children = np.random.SeedSequence((9, 4)).spawn(5)
     assert seen == {(j,): np.random.PCG64(children[j]).state for j in range(5)}
@@ -333,19 +333,19 @@ def test_chunk_j_draws_from_the_jth_spawned_stream(monkeypatch):
 def test_a_chunk_failing_in_a_helper_thread_stops_the_campaign(monkeypatch):
     monkeypatch.setattr(pr, "CHUNK_NORMALS", 3 * 100)
     monkeypatch.setattr(pr, "_thread_count", lambda chunks: min(chunks, 3))
-    real = pr.homodyne_samples
+    real = pr._Marginal.sample
     raised = threading.Event()
 
-    def failing(plan, rng, normals, out):
+    def failing(marginal, rng, normals, out):
         chunk = rng.bit_generator.seed_seq.spawn_key[0]
         if threading.current_thread() is threading.main_thread():
             raised.wait(timeout=30)  # the caller's chunks wait for a helper's failure
         elif chunk >= 1:
             raised.set()
             raise ValueError(f"chunk {chunk} failed")
-        return real(plan, rng, normals, out)
+        return real(marginal, rng, normals, out)
 
-    monkeypatch.setattr(pr, "homodyne_samples", failing)
+    monkeypatch.setattr(pr._Marginal, "sample", failing)
     before = threading.active_count()
     cfg = pr.SensorNetworkConfig(3, 2.0, 0.8, seed=77, trials=10_000)  # 100 chunks
     with pytest.raises(ValueError, match="chunk [1-9][0-9]* failed"):
@@ -567,7 +567,7 @@ def test_phase_exact_sd_does_not_cancel_at_high_squeezing(m, n_s):
     # against a, and a |w - (w.u)u|^2 would leave the rounding of w.u beside top ~ 1/(16 N_S).
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # past the 40 dB cap
-        top = pr._phase_marginal(m, n_s, 100.0, 1.0, 0.0)[2]
+        top = pr._phase_marginal(m, n_s, 100.0, 1.0, 0.0)[0].top
         sd = pr.phase_exact_stats(m, n_s, 100.0, 1.0, 0.0)[1]
     assert sd == pytest.approx(np.sqrt(top) * 2.0 / np.sqrt(100.0 * m), rel=1e-14, abs=0.0)
 
@@ -605,12 +605,12 @@ def test_campaign_accepts_the_largest_seed_word():
 
 
 def _campaign_inputs(monkeypatch, run):
-    """(mean, a, top, unit) that run() hands to the Monte Carlo kernel."""
+    """(mean, a, top, unit) of the _Marginal that run() hands to the Monte Carlo kernel."""
     seen = []
-    monkeypatch.setattr(pr, "_run_campaign", lambda *args, **kw: seen.append(args[:4]))
+    monkeypatch.setattr(pr, "_run_campaign", lambda marginal, *args, **kw: seen.append(marginal))
     run()
-    (inputs,) = seen
-    return inputs
+    (marginal,) = seen
+    return marginal.mean, marginal.a, marginal.top, marginal.unit
 
 
 def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
@@ -651,6 +651,39 @@ def test_structured_marginal_equals_the_dense_pipeline(monkeypatch):
             pr.phase_exact_stats(*args),
             (est_mean, est_sd, np.sqrt(est_sd**2 + (est_mean - args[4]) ** 2)),
             rtol=1e-12, atol=0.0)
+
+
+def _dense_fisher(row, n_s, eta):
+    """1^T V^-1 1 of the post-loss x-covariance V of the splitter whose first row is row."""
+    m = eta.size
+    state = g.build_entangled_input(m, n_s, splitter=g.unbalanced_splitter(row))
+    cov = g.apply_loss(state, g.LossChannel(eta)).cov_block("x")
+    return np.ones(m) @ np.linalg.solve(cov, np.ones(m))
+
+
+def test_no_splitter_row_beats_the_shipped_one(monkeypatch):
+    # A common displacement's Fisher information through the dense route: at the optimal
+    # weights the shipped row u ~ w sqrt(eta) attains sum_m fisher_max(N_S, eta_m), as does
+    # the campaign's marginal through (M - (1.u)^2)/a + (1.u)^2/top, and no random or
+    # perturbed row does better.
+    rng = np.random.default_rng(np.random.SeedSequence(2033))
+    for _ in range(60):
+        m = int(rng.integers(2, 31))
+        eta = np.exp(rng.uniform(np.log(1e-3), 0.0, m))
+        n_s = float(10.0 ** rng.uniform(-2.0, 4.0))
+        cfg = pr.SensorNetworkConfig(m, n_s, eta, weights=al.optimal_weights_entangled(eta, n_s))
+        row = pr._splitter_row(cfg)
+        shipped = _dense_fisher(row, n_s, eta)
+        total = sum(fisher.fisher_max(n_s, e)[0] for e in eta)
+        assert abs(shipped - total) <= 1e-12 * total
+        _, a, top, unit = _campaign_inputs(
+            monkeypatch, lambda: pr.simulate_displacement_protocol(cfg))
+        along = unit.sum() ** 2
+        assert abs((m - along) / a + along / top - total) <= 1e-12 * total
+        others = [rng.standard_normal(m) for _ in range(3)]
+        others += [row * (1.0 + scale * rng.standard_normal(m)) for scale in (1e-1, 1e-3, 1e-6)]
+        for other in others:
+            assert _dense_fisher(other, n_s, eta) <= shipped * (1.0 + 1e-12)
 
 
 def test_campaigns_build_no_dense_network_state(monkeypatch, tmp_path):
