@@ -13,6 +13,7 @@ process pays only for its own command.
 """
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -439,9 +440,8 @@ def cmd_phase(config_path, seed, trials):
     rows = []
     for index, dphi in enumerate(dphis):
         report = protocols.simulate_phase_protocol(**run, dphi_true=dphi, seed=(run_seed, index))
-        exact_rms = protocols.phase_exact_stats(**network, dphi=dphi)[2]
-        linearized = report.analytic_rms
-        sigmas = abs(report.empirical_rms_error - exact_rms) / report.rms_standard_error
+        linearized, exact_rms = protocols.phase_rms_error(**network), report.analytic_rms
+        sigmas = report.agreement_sigmas()
         rows.append((dphi, report.trials, report.empirical_mean, report.empirical_mean - dphi,
                      report.empirical_rms_error, report.rms_standard_error, linearized,
                      exact_rms, abs(exact_rms - linearized), sigmas, _status(sigmas)))
@@ -531,11 +531,17 @@ def _run(argv):
             raised = list(dict.fromkeys(str(w.message) for w in caught))
             for text in raised:
                 print(f"warning: {text}", file=sys.stderr)
+    written = None
     try:
         body = _write_csv(params["out"], result.header, result.rows)
+        written = Path(params["out"])
         _write_manifest(params["out"], name, argv, params, result.seed,
                         [*result.notes, *raised], body)
     except OSError as exc:  # such as an --out in a missing or read-only directory
+        # Exit 1 leaves no CSV: remove the regular file this run wrote, never a device or link.
+        if written and written.is_file() and not written.is_symlink():
+            with contextlib.suppress(OSError):
+                written.unlink()
         raise UsageError(f"cannot write {exc.filename or params['out']}: "
                          f"{exc.strerror or exc}") from exc
     if result.failure:

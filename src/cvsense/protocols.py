@@ -395,16 +395,14 @@ def simulate_phase_protocol(num_nodes, total_photons, ancilla_photons, eta, dphi
                             trials=DEFAULT_TRIALS, seed=0):
     """Monte Carlo over the exact Mach-Zehnder network; p-quadrature homodyne.
 
-    The report's analytic_rms is the linearized phase_rms_error, off the exact rms by a
-    term quadratic in dphi, so its agreement_sigmas() is not the campaign's verdict: compare
-    empirical_rms_error with phase_exact_stats' rms, in units of rms_standard_error.
+    The report's analytic_rms is phase_exact_stats' rms about dphi_true.
     """
     if not (abs(dphi_true) < PHASE_LINEARIZATION_GUARD):  # nan fails this too
         raise ValueError(
             f"|dphi| must be below the linearization guard {PHASE_LINEARIZATION_GUARD}"
         )
     _check_trials(trials)
-    analytic_rms = phase_rms_error(num_nodes, total_photons, ancilla_photons, eta)  # domain first
+    analytic_rms = phase_exact_stats(num_nodes, total_photons, ancilla_photons, eta, dphi_true)[2]
     marginal, weights = _phase_marginal(num_nodes, total_photons, ancilla_photons, eta, dphi_true)
     return _run_campaign(marginal, weights, target=dphi_true, trials=trials, seed=seed,
                          analytic_rms=analytic_rms)

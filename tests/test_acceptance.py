@@ -189,10 +189,10 @@ def test_criterion_8_allocation_optimizers():
 def test_criterion_9_phase_linearization():
     m, n_s, n_v, eta = 2, 2.0, 100.0, 1.0
     rep = pr.simulate_phase_protocol(m, n_s, n_v, eta, 0.01, 1_000_000, seed=909)
-    residual = abs(pr.phase_exact_stats(m, n_s, n_v, eta, 0.01)[2] - rep.analytic_rms)
-    gap = abs(rep.empirical_rms_error - rep.analytic_rms)
-    tol = 3.0 * rep.rms_standard_error + residual
     linearized = pr.phase_rms_error(m, n_s, n_v, eta)
+    residual = abs(pr.phase_exact_stats(m, n_s, n_v, eta, 0.01)[2] - linearized)
+    gap = abs(rep.empirical_rms_error - linearized)
+    tol = 3.0 * rep.rms_standard_error + residual
     res2 = abs(pr.phase_exact_stats(m, n_s, n_v, eta, 0.02)[2] - linearized)
     ratio = res2 / residual
     ok = gap < tol and abs(ratio - 4.0) <= 1.0

@@ -200,9 +200,15 @@ def test_phase_command(tmp_path, configs_dir):
     # Each point's verdict compares the empirical rms with the exact one.
     assert header[-2:] == ["sigma_gap", "status"]
     for row in rows:
-        gap = abs(float(row["empirical_rms"]) - float(row["exact_rms"]))
-        assert float(row["sigma_gap"]) == pytest.approx(
-            gap / float(row["rms_standard_error"]), abs=1e-6)
+        cell = {key: float(row[key]) for key in header[:-1]}
+        # A cell holds 12 significant digits, so a difference of two cells is known to about
+        # 1e-12 of the cells: at dphi = 0.005 the residual read back is 1.2e-9 off.
+        digits = 1e-12 * cell["exact_rms"]
+        gap = abs(cell["empirical_rms"] - cell["exact_rms"])
+        assert cell["sigma_gap"] == pytest.approx(gap / cell["rms_standard_error"], rel=1e-9,
+                                                  abs=digits / cell["rms_standard_error"])
+        assert cell["linearization_residual"] == pytest.approx(
+            abs(cell["exact_rms"] - cell["linearized_rms"]), rel=1e-9, abs=digits)
         assert row["status"] == "PASS"
     assert manifest(out)["notes"] == []  # N_S = 2, far below the squeezing cap
     residuals = [float(r["linearization_residual"]) for r in rows]

@@ -1,19 +1,20 @@
-"""The shipped validation command catches a fault in the physics it samples.
+"""The shipped validation commands catch a fault in the physics they sample.
 
 Each row injects one fault into the library and runs `monte-carlo` on the shipped
-configs/fig1_check.cfg through the hostile-input harness, which checks the whole exit
-contract: here exit 2, "statistical validation failed" and a CSV holding FAIL. A row must
-hold at every seed of SEEDS, none chosen.
+configs/fig1_check.cfg or `phase` on configs/phase_sweep.cfg through the hostile-input
+harness, which checks the whole exit contract: here exit 2, "statistical validation failed"
+and a CSV holding FAIL. Both commands judge a campaign by its report's agreement_sigmas(). A
+row must hold at every seed of SEEDS, none chosen.
 
-The command is not meant to catch every fault; tier-1 catches these elsewhere:
-- a fault in what the analytic rms and the sampler share, such as `_mode_photons` or
-  `_phase_marginal`: both move together, so the verdict cannot see it;
-  `test_structured_marginal_equals_the_dense_pipeline` compares the marginal with the
-  dense network instead;
+The commands are not meant to catch every fault; tier-1 catches these elsewhere:
+- a fault in what the analytic rms and the sampler share, such as `_mode_photons`, or
+  `_phase_marginal`, which phase_exact_stats reads for the exact rms: both move together,
+  so the verdict cannot see it; `test_structured_marginal_equals_the_dense_pipeline`
+  compares the marginal with the dense network instead;
 - a wrong variance across the unit vector of the marginal: on fig1_check.cfg's uniform
-  networks the weights are parallel to it, so the estimator never reads that variance;
-  `test_homodyne_covariance_consistency` and `test_weighted_entangled_random_instances`
-  read it;
+  networks, as on every phase network, the weights are parallel to it, so the estimator
+  never reads that variance; `test_homodyne_covariance_consistency` and
+  `test_weighted_entangled_random_instances` read it;
 - a bias in the sampled mean: the verdict tests the rms only, which a bias b moves by just
   b^2/(2 rms); `test_monte_carlo_agreement` and `test_monte_carlo_unbiased_at_zero` test
   the mean;
@@ -30,7 +31,9 @@ from test_hostile_inputs import Row, check_in_process
 
 from cvsense import protocols
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fig1_check.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+MC = f"monte-carlo --config {CONFIGS / 'fig1_check.cfg'}"
+PHASE = f"phase --config {CONFIGS / 'phase_sweep.cfg'}"
 SEEDS = range(4)
 CAUGHT = (2, "statistical validation failed")
 
@@ -63,15 +66,16 @@ def noise_scaled_by(factor):
     return setup
 
 
-FAULTS = [  # (id, extra options, setup)
-    ("product-at-whole-budget", "--trials 20000", product_marginal_at_the_whole_budget),
+FAULTS = [  # (id, command, extra options, setup)
+    ("product-at-whole-budget", MC, "--trials 20000", product_marginal_at_the_whole_budget),
     # About 14 sigma at the config's 10^6 trials: 0.01 sqrt(2 * 10^6).
-    ("rms-times-1.01", "", noise_scaled_by(1.01)),
+    ("rms-times-1.01", MC, "", noise_scaled_by(1.01)),
+    # About 9 sigma at the config's 4 * 10^5 trials: 0.01 sqrt(2 * 4 * 10^5).
+    ("phase-rms-times-1.01", PHASE, "", noise_scaled_by(1.01)),
 ]
-ROWS = [Row(f"{name}-seed={seed}",
-            f"monte-carlo --config {CONFIG} --seed {seed} {options} --out {{out}}",
+ROWS = [Row(f"{name}-seed={seed}", f"{command} --seed {seed} {options} --out {{out}}",
             None, *CAUGHT, setup)
-        for name, options, setup in FAULTS for seed in SEEDS]
+        for name, command, options, setup in FAULTS for seed in SEEDS]
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])

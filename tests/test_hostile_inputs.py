@@ -127,8 +127,19 @@ def rigged(cfg):
 
 
 def rigged_phase(trials=protocols.DEFAULT_TRIALS, **network):
-    """A phase campaign 970 standard errors from SMALL_PHASE's exact rms, 0.029."""
+    """A phase campaign 500 standard errors from its analytic rms."""
     return protocols.EstimatorReport(trials, 0.0, 1.0, 1e-3, 0.5)
+
+
+def manifest_path_is_a_directory(monkeypatch):
+    """A directory stands where the manifest goes, so its write fails after the CSV's."""
+    real = cli._write_manifest
+
+    def write(out_path, *args):
+        Path(f"{out_path}.manifest.json").mkdir()
+        real(out_path, *args)
+
+    monkeypatch.setattr(cli, "_write_manifest", write)
 
 
 ROWS = [*grid_rows(), *(Row(*fields) for fields in [
@@ -139,6 +150,12 @@ ROWS = [*grid_rows(), *(Row(*fields) for fields in [
     # an --out in a missing directory fails at the write, after the computation
     ("out-in-missing-directory", "weighted --config {cfg} --out {out}.d/x.csv",
      "N_S = 1\netas = 0.9 0.5\n", 1, "x.csv.d/x.csv: No such file or directory"),
+    # a failed manifest write removes the CSV this run wrote; an --out naming a directory
+    # fails at the CSV's write, and the directory stays
+    ("manifest-path-is-a-directory", WEIGHTED, "N_S = 1\netas = 0.9 0.5\n", 1,
+     "x.csv.manifest.json: Is a directory", manifest_path_is_a_directory),
+    ("out-is-a-directory", f"weighted --config {{cfg}} --out {CONFIGS}",
+     "N_S = 1\netas = 0.9 0.5\n", 1, f"cannot write {CONFIGS}: Is a directory"),
     ("rms-curve-missing-out", "rms-curve", None, 1, "required: --out"),
     ("unknown-option", "rms-curve --bogus 1 --out {out}", None, 1,
      "unrecognized arguments: --bogus"),

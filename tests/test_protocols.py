@@ -309,7 +309,7 @@ def test_campaign_does_not_depend_on_the_thread_count(monkeypatch):
     *displacement, phase = reports[0]
     for report in displacement:
         assert report.agreement_sigmas() < 4.0
-    # The phase report's analytic rms is the linearized one; the exact one is the reference.
+    # The exact rms is the phase reference.
     exact = pr.phase_exact_stats(2, 2.0, 100.0, 0.9, 0.01)[2]
     assert abs(phase.empirical_rms_error - exact) < 4.0 * phase.rms_standard_error
 
@@ -488,10 +488,11 @@ def test_phase_estimator_is_locally_unbiased():
 
 def test_phase_monte_carlo_matches_linearized():
     report = pr.simulate_phase_protocol(2, 2.0, 100.0, 1.0, 0.01, 200_000, seed=31)
+    linearized = pr.phase_rms_error(2, 2.0, 100.0, 1.0)
     residual = abs(
-        pr.phase_exact_stats(2, 2.0, 100.0, 1.0, 0.01)[2] - report.analytic_rms
+        pr.phase_exact_stats(2, 2.0, 100.0, 1.0, 0.01)[2] - linearized
     )
-    assert abs(report.empirical_rms_error - report.analytic_rms) < (
+    assert abs(report.empirical_rms_error - linearized) < (
         3.0 * report.rms_standard_error + residual
     )
 
@@ -557,6 +558,18 @@ def test_phase_campaign_tracks_its_exact_stats_up_to_the_sampler_bound():
                                                 2_000 if m == 1000 else 20_000, seed=seed)
             exact = pr.phase_exact_stats(m, n_s, 100.0, eta, dphi)[2]
         assert abs(report.empirical_rms_error - exact) < 4.0 * report.rms_standard_error
+
+
+def test_phase_report_carries_the_exact_rms():
+    # The phase verdict is the report's own agreement_sigmas(), as for displacement.
+    grid = itertools.product((1, 2, 7, 1000), (0.0, 2.0, 1e8, pr.SAMPLER_MAX_PHOTONS),
+                             (0.9, 1.0), (0.0, 0.005, 0.29))
+    for seed, (m, n_s, eta, dphi) in enumerate(grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # past the 40 dB cap
+            report = pr.simulate_phase_protocol(m, n_s, 100.0, eta, dphi, 10, seed=seed)
+            exact = pr.phase_exact_stats(m, n_s, 100.0, eta, dphi)[2]
+        assert report.analytic_rms == exact, (m, n_s, eta, dphi)
 
 
 @pytest.mark.parametrize("m", [2, 1000])
